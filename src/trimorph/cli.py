@@ -4,13 +4,15 @@ Morphism arguments use the syntax 'a=<word>,b=<word>' where each word is a
 nonempty string over {a,b} or the literal 'eps'; whitespace is ignored.
 
 Exit codes: 0 success (and true for assertions), 1 asserted property false,
-2 usage or parse error, 3 arithmetic overflow or aborted search.
+2 usage or parse error, 3 arithmetic overflow, aborted search or out of
+memory.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .classifier import SCHEMA_VERSION, classify, direct_commute, a_conjugates
@@ -44,32 +46,30 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
     ("block-against-shift", "a=eps,b=ab", "a=a,b=bab"),
 )
 
-
-def _emit(record: dict, as_json: bool, human: str) -> None:
-    if as_json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(human)
+# A handler returns its results as (record, human line) pairs, the record
+# without its schema field and the human line None where a result prints
+# nothing in human mode, plus whether the run succeeded (exit 0, else 1).
+Results = tuple[list[tuple[dict, str | None]], bool]
 
 
-def _cmd_check(args) -> int:
+def _text(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _check(args) -> Results:
     g1 = parse_morphism(args.g1)
     g2 = parse_morphism(args.g2)
     commute = direct_commute(g1, g2)
     record = {
-        "schema": SCHEMA_VERSION,
         "kind": "commutation",
         "g1": format_morphism(g1),
         "g2": format_morphism(g2),
         "commute": commute,
     }
-    _emit(record, args.json, "true" if commute else "false")
-    if getattr(args, "assert_", False) and not commute:
-        return 1
-    return 0
+    return [(record, _text(commute))], commute or not args.assert_
 
 
-def _cmd_classify(args) -> int:
+def _classify(args) -> Results:
     g1 = parse_morphism(args.g1)
     g2 = parse_morphism(args.g2)
     report = classify(g1, g2)
@@ -78,166 +78,113 @@ def _cmd_classify(args) -> int:
     record["g2"] = format_morphism(g2)
     true_conds = ",".join(k for k, v in report.conditions.items() if v) or "-"
     human = (
-        f"case={report.case} swapped={str(report.swapped).lower()} "
-        f"prediction={str(report.prediction).lower()} true_conditions={true_conds}"
+        f"case={report.case} swapped={_text(report.swapped)} "
+        f"prediction={_text(report.prediction)} true_conditions={true_conds}"
     )
-    _emit(record, args.json, human)
-    return 0
+    return [(record, human)], True
 
 
-def _cmd_omega(args) -> int:
+def _omega(args) -> Results:
+    text = omega_prefix(to_triangular(parse_morphism(args.h)), args.len).to_text()
+    return [({"kind": "omega_prefix", "length": args.len, "word": text}, text)], True
+
+
+def _gaps(args) -> Results:
     form = to_triangular(parse_morphism(args.h))
-    prefix = omega_prefix(form, args.len)
-    text = prefix.to_text()
+    values = (gap_sequence_direct if args.direct else gap_sequence)(form, args.upto)
     record = {
-        "schema": SCHEMA_VERSION,
-        "kind": "omega_prefix",
-        "length": args.len,
-        "word": text,
-    }
-    _emit(record, args.json, text)
-    return 0
-
-
-def _cmd_gaps(args) -> int:
-    form = to_triangular(parse_morphism(args.h))
-    values = (
-        gap_sequence_direct(form, args.upto)
-        if args.direct
-        else gap_sequence(form, args.upto)
-    )
-    record = {
-        "schema": SCHEMA_VERSION,
         "kind": "gaps",
         "upto": args.upto,
         "source": "direct" if args.direct else "closed",
         "gaps": values,
     }
-    _emit(record, args.json, " ".join(str(v) for v in values))
-    return 0
+    return [(record, " ".join(str(v) for v in values))], True
 
 
-def _cmd_conjugate(args) -> int:
+def _conjugate(args) -> Results:
     u = Word.parse(args.u)
     v = Word.parse(args.v)
     result = a_conjugates(u, v)
-    record = {
-        "schema": SCHEMA_VERSION,
-        "kind": "a_conjugacy",
-        "u": u.to_text(),
-        "v": v.to_text(),
-        "conjugate": result,
-    }
-    _emit(record, args.json, "true" if result else "false")
-    return 0
+    record = {"kind": "a_conjugacy", "u": u.to_text(), "v": v.to_text(), "conjugate": result}
+    return [(record, _text(result))], True
 
 
-def _cmd_multdep(args) -> int:
+def _multdep(args) -> Results:
     dep = mult_dependence(args.p, args.q)
-    if isinstance(dep, Dependent):
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "dependence",
-            "p": args.p,
-            "q": args.q,
-            "dependent": True,
-            "r": dep.r,
-            "m": dep.m,
-            "n": dep.n,
-        }
-        human = f"dependent r={dep.r} m={dep.m} n={dep.n}"
-    else:
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "dependence",
-            "p": args.p,
-            "q": args.q,
-            "dependent": False,
-        }
-        human = "independent"
-    _emit(record, args.json, human)
-    return 0
+    record = {"kind": "dependence", "p": args.p, "q": args.q}
+    if not isinstance(dep, Dependent):
+        return [({**record, "dependent": False}, "independent")], True
+    record.update(dependent=True, r=dep.r, m=dep.m, n=dep.n)
+    return [(record, f"dependent r={dep.r} m={dep.m} n={dep.n}")], True
 
 
-def _cmd_free(args) -> int:
-    g1 = parse_morphism(args.g1)
-    g2 = parse_morphism(args.g2)
-    rel = find_relation(g1, g2, args.depth)
+def _free(args) -> Results:
+    rel = find_relation(parse_morphism(args.g1), parse_morphism(args.g2), args.depth)
+    record = {"kind": "relation_search", "depth": args.depth, "found": rel is not None}
     if rel is None:
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "relation_search",
-            "depth": args.depth,
-            "found": False,
-        }
-        _emit(record, args.json, "none")
-    else:
-        left = "".join(map(str, rel.left))
-        right = "".join(map(str, rel.right))
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "relation_search",
-            "depth": args.depth,
-            "found": True,
-            "left": left,
-            "right": right,
-        }
-        _emit(record, args.json, f"{left} = {right}")
-    return 0
+        return [(record, "none")], True
+    left = "".join(map(str, rel.left))
+    right = "".join(map(str, rel.right))
+    record.update(left=left, right=right)
+    return [(record, f"{left} = {right}")], True
 
 
-def _cmd_sweep(args) -> int:
-    config = SweepConfig(
-        max_s=args.max_s,
-        max_p=args.max_p,
-        max_exp=args.max_exp,
-        max_bonly_exp=args.max_bonly_exp,
-        parallel=args.parallel,
+def _sweep(args) -> Results:
+    result = run_sweep(SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)}))
+    cases = " ".join(f"{k}={v}" for k, v in sorted(result.cases.items()))
+    human = (
+        f"morphisms={result.morphisms} pairs={result.pairs} "
+        f"commuting={result.commuting} mismatches={len(result.mismatches)}\n"
+        f"cases: {cases}"
     )
-    result = run_sweep(config)
-    summary = result.summary_record()
-    lines = [json.dumps(rec, sort_keys=True) for rec in result.mismatches]
-    lines.append(json.dumps(summary, sort_keys=True))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if args.json and not args.output:
-        for line in lines:
-            print(line)
-    else:
-        cases = " ".join(f"{k}={v}" for k, v in sorted(result.cases.items()))
-        print(
-            f"morphisms={result.morphisms} pairs={result.pairs} "
-            f"commuting={result.commuting} mismatches={len(result.mismatches)}"
-        )
-        print(f"cases: {cases}")
-    return 1 if result.mismatches else 0
+    results = [(record, None) for record in result.mismatches]
+    results.append((result.summary_record(), human))
+    return results, not result.mismatches
 
 
-def _cmd_examples(args) -> int:
-    failures = 0
+def _examples(args) -> Results:
+    results = []
     for name, text1, text2 in EXAMPLE_PAIRS:
         g1 = parse_morphism(text1)
         g2 = parse_morphism(text2)
         commute = direct_commute(g1, g2)
-        report = classify(g1, g2)
-        if not commute:
-            failures += 1
-        record = {
-            "schema": SCHEMA_VERSION,
-            "kind": "example",
-            "name": name,
-            "g1": text1,
-            "g2": text2,
-            "commute": commute,
-            "case": report.case,
-        }
-        _emit(
-            record,
-            args.json,
-            f"{name}: {text1} | {text2} commute={str(commute).lower()} case={report.case}",
-        )
-    return 1 if failures else 0
+        case = classify(g1, g2).case
+        record = dict(kind="example", name=name, g1=text1, g2=text2, commute=commute, case=case)
+        results.append((record, f"{name}: {text1} | {text2} commute={_text(commute)} case={case}"))
+    return results, all(record["commute"] for record, _ in results)
+
+
+PAIR = (("g1", {}), ("g2", {}))
+# (name, help, arguments as (flag or name, add_argument keywords), handler);
+# every subcommand also takes --json.
+COMMANDS = (
+    ("check", "oracle commutation test for two morphisms", PAIR + (
+        ("--assert", dict(dest="assert_", action="store_true",
+                          help="exit 1 when the pair does not commute")),
+    ), _check),
+    ("classify", "structural case and condition report", PAIR, _classify),
+    ("omega", "prefix of the infinite fixed-point word", (
+        ("h", {}),
+        ("--len", dict(type=int, required=True, help="prefix length")),
+    ), _omega),
+    ("gaps", "a-gap sequence of the infinite word", (
+        ("h", {}),
+        ("--upto", dict(type=int, required=True, help="number of gaps")),
+        ("--direct", dict(action="store_true", help="read gaps off a literally "
+                          "expanded prefix instead of the closed form")),
+    ), _gaps),
+    ("conjugate", "test whether two words differ only by outer a-padding",
+     (("u", {}), ("v", {})), _conjugate),
+    ("multdep", "multiplicative dependence of two integers",
+     (("p", dict(type=int)), ("q", dict(type=int))), _multdep),
+    ("free", "search for a composition relation",
+     PAIR + (("--depth", dict(type=int, default=DEFAULT_DEPTH)),), _free),
+    ("sweep", "exhaustive prediction-versus-oracle sweep", tuple(
+        ("--" + f.name.replace("_", "-"), dict(type=int, default=f.default))
+        for f in fields(SweepConfig)
+    ) + (("--output", dict(help="write mismatch and summary records to this file")),), _sweep),
+    ("examples", "run the bundled commuting example pairs", (), _examples),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,79 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
         "morphisms of {a,b}*.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p):
+    for name, help_text, arguments, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true", help="emit a JSON record")
-
-    p = sub.add_parser("check", help="oracle commutation test for two morphisms")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument(
-        "--assert",
-        dest="assert_",
-        action="store_true",
-        help="exit 1 when the pair does not commute",
-    )
-    add_json(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("classify", help="structural case and condition report")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    add_json(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("omega", help="prefix of the infinite fixed-point word")
-    p.add_argument("h")
-    p.add_argument("--len", type=int, required=True, help="prefix length")
-    add_json(p)
-    p.set_defaults(func=_cmd_omega)
-
-    p = sub.add_parser("gaps", help="a-gap sequence of the infinite word")
-    p.add_argument("h")
-    p.add_argument("--upto", type=int, required=True, help="number of gaps")
-    p.add_argument(
-        "--direct",
-        action="store_true",
-        help="read gaps off a literally expanded prefix instead of the closed form",
-    )
-    add_json(p)
-    p.set_defaults(func=_cmd_gaps)
-
-    p = sub.add_parser("conjugate", help="test whether two words differ only by outer a-padding")
-    p.add_argument("u")
-    p.add_argument("v")
-    add_json(p)
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser("multdep", help="multiplicative dependence of two integers")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    add_json(p)
-    p.set_defaults(func=_cmd_multdep)
-
-    p = sub.add_parser("free", help="search for a composition relation")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    add_json(p)
-    p.set_defaults(func=_cmd_free)
-
-    p = sub.add_parser("sweep", help="exhaustive prediction-versus-oracle sweep")
-    p.add_argument("--max-s", type=int, default=3)
-    p.add_argument("--max-p", type=int, default=3)
-    p.add_argument("--max-exp", type=int, default=2)
-    p.add_argument("--max-bonly-exp", type=int, default=3)
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--output", help="write mismatch and summary records to this file")
-    add_json(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("examples", help="run the bundled commuting example pairs")
-    add_json(p)
-    p.set_defaults(func=_cmd_examples)
-
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _error(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -329,14 +215,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        results, ok = args.handler(args)
     except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (CountOverflow, SearchAborted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
+    except MemoryError:
+        return _error("out of memory", 3)
+    lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
+    # --output (sweep only) sends the records to a file and the human
+    # summary to stdout, whether or not --json is given.
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    for line, (_, human) in zip(lines, results):
+        text = line if args.json and not output else human
+        if text is not None:
+            print(text)
+    return 0 if ok else 1
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .morphisms import BinaryMorphism, compose, matrix
+from .morphisms import BinaryMorphism, compose, mat_mul, matrix
 from .words import CountOverflow
 
 
 class SearchAborted(RuntimeError):
-    """Composition overflowed the 64-bit word bound during the search."""
+    """A product overflowed the 64-bit word bound during the search."""
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -40,58 +40,45 @@ class Relation:
 DEFAULT_DEPTH = 6
 
 
+def _first_collision(
+    gens: tuple, mul, depth: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Breadth-first, lexicographic search over products of gens.
+
+    Returns the first pair (earlier, later) of distinct sequences of length
+    <= depth whose left-to-right products under mul coincide, or None.
+    """
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    seen: dict = {}
+    prefix: dict[tuple[int, ...], object] = {}
+    for length in range(1, depth + 1):
+        nxt: dict[tuple[int, ...], object] = {}
+        for seq in product((1, 2), repeat=length):
+            head = seq[:-1]
+            try:
+                value = mul(prefix[head], gens[seq[-1] - 1]) if head else gens[seq[-1] - 1]
+            except CountOverflow as exc:
+                raise SearchAborted(length) from exc
+            nxt[seq] = value
+            if value in seen:
+                return seen[value], seq
+            seen[value] = seq
+        prefix = nxt
+    return None
+
+
 def find_relation(
     g1: BinaryMorphism, g2: BinaryMorphism, depth: int = DEFAULT_DEPTH
 ) -> Relation | None:
     """First pair of distinct sequences of length <= depth composing equally."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    generators = (g1, g2)
-    seen: dict[BinaryMorphism, tuple[int, ...]] = {}
-    prefix_morphs: dict[tuple[int, ...], BinaryMorphism] = {}
-    for length in range(1, depth + 1):
-        next_prefixes: dict[tuple[int, ...], BinaryMorphism] = {}
-        for seq in product((1, 2), repeat=length):
-            head = seq[:-1]
-            try:
-                if head:
-                    morph = compose(prefix_morphs[head], generators[seq[-1] - 1])
-                else:
-                    morph = generators[seq[-1] - 1]
-            except CountOverflow as exc:
-                raise SearchAborted(length) from exc
-            next_prefixes[seq] = morph
-            if morph in seen:
-                return Relation(seen[morph], seq)
-            seen[morph] = seq
-        prefix_morphs = next_prefixes
-    return None
+    pair = _first_collision((g1, g2), compose, depth)
+    return None if pair is None else Relation(*pair)
 
 
 def matrix_collision(g1: BinaryMorphism, g2: BinaryMorphism, depth: int) -> bool:
     """True iff two distinct sequences of length <= depth share a matrix product."""
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    mats = tuple(m.rows for m in (matrix(g1), matrix(g2)))
-
-    def mul(x, y):
-        (aa, ab), (ba, bb) = x
-        (xa, xb), (ya, yb) = y
-        return ((aa * xa + ab * ya, aa * xb + ab * yb), (ba * xa + bb * ya, ba * xb + bb * yb))
-
-    seen: set = set()
-    prefix: dict[tuple[int, ...], tuple] = {}
-    for length in range(1, depth + 1):
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for seq in product((1, 2), repeat=length):
-            head = seq[:-1]
-            m = mul(prefix[head], mats[seq[-1] - 1]) if head else mats[seq[-1] - 1]
-            nxt[seq] = m
-            if m in seen:
-                return True
-            seen.add(m)
-        prefix = nxt
-    return False
+    return _first_collision((matrix(g1).rows, matrix(g2).rows), mat_mul, depth) is not None
 
 
 def verify_relation(g1: BinaryMorphism, g2: BinaryMorphism, rel: Relation) -> bool:

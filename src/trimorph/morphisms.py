@@ -22,7 +22,8 @@ from functools import lru_cache
 from .words import (
     A,
     B,
-    EMPTY,
+    MAX_COUNT,
+    CountOverflow,
     ParseError,
     Run,
     Word,
@@ -90,6 +91,13 @@ def power(g: BinaryMorphism, n: int) -> BinaryMorphism:
     return result
 
 
+def mat_mul(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices given as row tuples, in exact integers."""
+    (aa, ab), (ba, bb) = x
+    (xa, xb), (ya, yb) = y
+    return ((aa * xa + ab * ya, aa * xb + ab * yb), (ba * xa + bb * ya, ba * xb + bb * yb))
+
+
 @dataclass(frozen=True)
 class MorphMatrix:
     """2x2 occurrence matrix: rows[i][j] counts letter i in the image of letter j."""
@@ -101,16 +109,13 @@ class MorphMatrix:
         return aa * bb - ab * ba
 
     def __matmul__(self, other: "MorphMatrix") -> "MorphMatrix":
-        (aa, ab), (ba, bb) = self.rows
-        (xa, xb), (ya, yb) = other.rows
-        return MorphMatrix(
-            (
-                (checked_add(checked_mul(aa, xa), checked_mul(ab, ya)),
-                 checked_add(checked_mul(aa, xb), checked_mul(ab, yb))),
-                (checked_add(checked_mul(ba, xa), checked_mul(bb, ya)),
-                 checked_add(checked_mul(ba, xb), checked_mul(bb, yb))),
-            )
-        )
+        # Entries are nonnegative counts, so bounding the sums bounds every term.
+        rows = mat_mul(self.rows, other.rows)
+        for row in rows:
+            for entry in row:
+                if entry > MAX_COUNT:
+                    raise CountOverflow(f"count {entry} exceeds 64-bit bound")
+        return MorphMatrix(rows)
 
 
 def matrix(g: BinaryMorphism) -> MorphMatrix:
@@ -153,23 +158,21 @@ class Core:
 
 def b_image_shape(w: Word) -> BOnly | Core:
     """Decompose a word as an upper triangular image of b."""
-    if w.occ(B) == 0:
-        return BOnly(w.length())
-    gamma1 = 0
+    gamma1 = None
     gaps: list[int] = []
     pending = 0
-    seen_b = False
     for letter, count in w.runs:
         if letter == A:
             pending += count
+            continue
+        if gamma1 is None:
+            gamma1 = pending
         else:
-            if seen_b:
-                gaps.append(pending)
-            else:
-                gamma1 = pending
-                seen_b = True
-            gaps.extend([0] * (count - 1))
-            pending = 0
+            gaps.append(pending)
+        gaps.extend([0] * (count - 1))
+        pending = 0
+    if gamma1 is None:
+        return BOnly(pending)
     return Core(gamma1, tuple(gaps), pending)
 
 
@@ -217,12 +220,10 @@ def to_triangular(g: BinaryMorphism) -> TriangularForm:
 
 def is_special_pair(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
     """Both b-images lie in a* b a* and exactly one morphism fixes a."""
-    for g in (g1, g2):
-        if g.image_a.occ(B) != 0:
-            raise NotUpperTriangular(f"image of a is {g.image_a.to_text()!r}")
-    if g1.image_b.occ(B) != 1 or g2.image_b.occ(B) != 1:
+    f1, f2 = to_triangular(g1), to_triangular(g2)
+    if f1.b_count != 1 or f2.b_count != 1:
         return False
-    return (g1.image_a == WORD_A) != (g2.image_a == WORD_A)
+    return (f1.s == 1) != (f2.s == 1)
 
 
 _MORPHISM_RE = re.compile(r"^a=([ab]+|eps),b=([ab]+|eps)$")

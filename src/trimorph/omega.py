@@ -21,18 +21,17 @@ agree, in which case omega(h) = (b a^alpha)^infinity.
 """
 from __future__ import annotations
 
-from .morphisms import BOnly, Core, TriangularForm, apply
+from .morphisms import Core, TriangularForm, apply, b_image_shape
 from .numtheory import val_and_digit
 from .words import (
     A,
     B,
     MAX_COUNT,
     CountOverflow,
-    Run,
     Word,
     concat,
-    push_run,
     strip_leading,
+    strip_quotient,
     take_prefix,
 )
 
@@ -49,13 +48,8 @@ def right_tail(form: TriangularForm) -> Word:
     """The word v with h(b) = a^gamma1 b v."""
     if not isinstance(form.bpart, Core):
         raise NotApplicable("image of b is b-free")
-    core = form.bpart
-    runs: list[Run] = []
-    for gap in core.alphas:
-        push_run(runs, A, gap)
-        push_run(runs, B, 1)
-    push_run(runs, A, core.gamma2)
-    return Word(tuple(runs))
+    head = Word.from_runs(((A, form.bpart.gamma1), (B, 1)))
+    return strip_quotient(head, form.image_b())
 
 
 def omega_prefix(form: TriangularForm, n: int) -> Word:
@@ -166,23 +160,7 @@ def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
     _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if upto == 0:
-        return []
-    prefix = _prefix_with_b_count(form, upto + 1)
-    gaps: list[int] = []
-    pending = 0
-    seen_b = False
-    for letter, count in prefix.runs:
-        if letter == A:
-            pending += count
-        else:
-            if seen_b:
-                gaps.append(pending)
-            else:
-                seen_b = True
-            gaps.extend([0] * (count - 1))
-            pending = 0
-    return gaps[:upto]
+    return list(b_image_shape(_prefix_with_b_count(form, upto + 1)).alphas)
 
 
 def gap_direct(form: TriangularForm, i: int) -> int:

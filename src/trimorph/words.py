@@ -168,37 +168,35 @@ def repeat(u: Word, k: int) -> Word:
     return Word(tuple(out))
 
 
-def is_prefix(u: Word, w: Word) -> bool:
+def _quotient_runs(u: Word, w: Word) -> tuple[Run, ...] | None:
+    """The runs of the word x with w = u x, or None when u is not a prefix of w."""
     if not u.runs:
-        return True
+        return w.runs
     if len(u.runs) > len(w.runs):
-        return False
+        return None
     head = len(u.runs) - 1
     for i in range(head):
         if u.runs[i] != w.runs[i]:
-            return False
+            return None
     ul, uc = u.runs[head]
     wl, wc = w.runs[head]
-    return ul == wl and uc <= wc
+    if ul != wl or uc > wc:
+        return None
+    rest = w.runs[head + 1 :]
+    if uc < wc:
+        return ((wl, wc - uc),) + rest
+    return rest
+
+
+def is_prefix(u: Word, w: Word) -> bool:
+    return _quotient_runs(u, w) is not None
 
 
 def strip_quotient(u: Word, w: Word) -> Word:
     """The word x with w = u x; raises NotAPrefix when u is not a prefix of w."""
-    if not u.runs:
-        return w
-    if len(u.runs) > len(w.runs):
+    rest = _quotient_runs(u, w)
+    if rest is None:
         raise NotAPrefix(f"{u!r} is not a prefix of {w!r}")
-    head = len(u.runs) - 1
-    for i in range(head):
-        if u.runs[i] != w.runs[i]:
-            raise NotAPrefix(f"{u!r} is not a prefix of {w!r}")
-    ul, uc = u.runs[head]
-    wl, wc = w.runs[head]
-    if ul != wl or uc > wc:
-        raise NotAPrefix(f"{u!r} is not a prefix of {w!r}")
-    rest = w.runs[head + 1 :]
-    if uc < wc:
-        return Word(((wl, wc - uc),) + rest)
     return Word(rest)
 
 

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trimorph
 from trimorph.cli import EXAMPLE_PAIRS, main
+
+SRC = Path(trimorph.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -202,3 +212,55 @@ def test_aborted_search_exits_three(capsys):
     code, _, err = run(capsys, "free", huge, "a=a,b=ab", "--depth", "6")
     assert code == 3
     assert "error:" in err
+
+
+def run_module(*argv, preexec_fn=None):
+    """Run `python -m trimorph.cli` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "trimorph.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=preexec_fn,
+    )
+
+
+def test_module_entry_point_runs_main():
+    proc = run_module("check", "a=a,b=bb", "a=aa,b=ab")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
+
+
+def test_out_of_memory_exits_three():
+    # p = 2^6 and q = 2^7, so classify builds MultDependent power images
+    # with 2^42 b's; under a 1 GiB address-space limit (in the child only)
+    # that runs out of memory.
+    g1 = "a=a,b=" + "ba" * 63 + "b"
+    g2 = "a=a,b=" + "ba" * 127 + "b"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_module("classify", g1, g2, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
+
+
+def readme_transcript():
+    """(argv, expected stdout) for each `$ trimorph ...` line of the README's
+    command line block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    cases = []
+    for line in block.strip("\n").splitlines():
+        if line.startswith("$ "):
+            prog, *argv = shlex.split(line[2:])
+            assert prog == "trimorph"
+            cases.append((argv, []))
+        else:
+            cases[-1][1].append(line + "\n")
+    return [pytest.param(argv, "".join(out), id=argv[0]) for argv, out in cases]
+
+
+@pytest.mark.parametrize("argv, expected", readme_transcript())
+def test_readme_transcript(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected, "")
