@@ -16,6 +16,12 @@ places):
   GapOneVsMany     both nonsingular, one b against p >= 2.
   MultIndependent  both nonsingular, b-counts p, q >= 2 with no common root.
   MultDependent    same, but p = r^m and q = r^n for a common root r.
+
+MultDependent compares g1^n and g2^m without building them: their images
+of b hold r^(mn) b's, but their outer paddings have closed forms and their
+interior gaps are the closed-form gaps of omega(g1) and omega(g2), which
+agree everywhere once they agree on O(mn q) classes of indexes.  The test
+suite keeps the version that composes the powers as its reference.
 """
 from __future__ import annotations
 
@@ -26,13 +32,15 @@ from .morphisms import (
     BOnly,
     Core,
     IDENTITY,
+    TriangularForm,
     b_image_shape,
     compose,
-    power,
+    shape_to_word,
     to_triangular,
 )
 from .numtheory import Dependent, mult_dependence
-from .words import A, B, Word, b_core, words_commute
+from .omega import gap, gap_sequence, geometric
+from .words import A, B, MAX_COUNT, CountOverflow, Word, b_core, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
 CASE_SINGULAR_A_IMAGE = "SingularAImage"
@@ -117,6 +125,44 @@ def _match_block_powers(u: Word, v: Word) -> dict | None:
     if any(g != alpha + beta for g in sv.alphas):
         return None
     return {"alpha": alpha, "beta": beta, "i": su.p, "j": sv.p - 1}
+
+
+def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
+    """(s^k, gamma1 G(s, k), gamma2 G(s, k)): the a-count of g^k(a) and the
+    outer a-padding of g^k(b), where g^k(b) = a^(gamma1 G) (the prefix of
+    omega(g) through its p^k-th b) a^(gamma2 G).
+
+    Raises CountOverflow when one of these or the largest interior gap of
+    g^k(b) exceeds the 64-bit bound.  Gaps grow with the p-adic valuation
+    of their index, so that gap sits at p^(k-1) d, d the position of the
+    largest interior gap of g(b).
+    """
+    core = form.bpart
+    assert isinstance(core, Core)
+    gap(form, core.p ** (k - 1) * (core.alphas.index(max(core.alphas)) + 1))
+    factor = geometric(form.s, k)
+    counts = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
+    if max(counts) > MAX_COUNT:
+        raise CountOverflow(f"count {max(counts)} exceeds 64-bit bound")
+    return counts
+
+
+def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) -> bool:
+    """gap(f1, i) == gap(f2, i) for every 1 <= i < r^(mn), for b-counts r^m and r^n.
+
+    Write i = r^k j with r not dividing j.  The valuation of i in base r^m
+    is k // m and its lowest nonzero digit is r^(k mod m) j mod r^m, so
+    gap(f1, i) depends only on k and j mod r^m; likewise gap(f2, i) on k
+    and j mod r^n.  One j below r^max(m, n) per class settles every index,
+    at most mn r^max(m, n) comparisons.
+    """
+    mn = m * n
+    for k in range(mn):
+        rk = r**k
+        for j in range(1, r ** min(max(m, n), mn - k)):
+            if j % r and gap(f1, rk * j) != gap(f2, rk * j):
+                return False
+    return True
 
 
 def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
@@ -207,19 +253,28 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
             CASE_MULT_INDEPENDENT, swapped, conditions, witness, any(conditions.values())
         )
 
-    h1 = power(g1, dep.n)
-    h2 = power(g2, dep.m)
-    conjugate = s == 1 and t == 1 and a_conjugates(h1.image_b, h2.image_b)
+    r, m, n = dep.r, dep.m, dep.n
+    # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
+    nb = p**n
+    if nb > MAX_COUNT:
+        raise CountOverflow(f"power images hold {nb} b's, beyond the 64-bit bound")
+    a1, lead1, trail1 = _power_counts(f1, n)
+    a2, lead2, trail2 = _power_counts(f2, m)
+    same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
+    conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
+    agree = (same_outside or conjugate_outside) and _gaps_agree(f1, f2, r, m, n)
+    conjugate = conjugate_outside and agree
     conditions = {
-        "equal_powers": h1 == h2,
+        "equal_powers": same_outside and agree,
         "both_b_powers": g1.image_b.occ(A) == 0 and g2.image_b.occ(A) == 0,
         "power_images_a_conjugate": conjugate,
     }
-    witness: dict = {"r": dep.r, "m": dep.m, "n": dep.n}
-    if conjugate:
-        _, core_word, _ = b_core(h1.image_b)
-        if core_word.length() <= 80:
-            witness["conjugate_core"] = core_word.to_text()
+    witness: dict = {"r": r, "m": m, "n": n}
+    # The core of g1^n(b) is nb b's with the nb - 1 gaps between them.
+    if conjugate and nb <= 80:
+        gaps = gap_sequence(f1, nb - 1)
+        if nb + sum(gaps) <= 80:
+            witness["conjugate_core"] = shape_to_word(Core(0, tuple(gaps), 0)).to_text()
     return CommutationReport(
         CASE_MULT_DEPENDENT, swapped, conditions, witness, any(conditions.values())
     )

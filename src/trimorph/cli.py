@@ -4,14 +4,16 @@ Morphism arguments use the syntax 'a=<word>,b=<word>' where each word is a
 nonempty string over {a,b} or the literal 'eps'; whitespace is ignored.
 
 Exit codes: 0 success (and true for assertions), 1 asserted property false,
-2 usage or parse error, 3 arithmetic overflow, aborted search or out of
-memory.
+2 usage or parse error or an --output file that cannot be written, 3
+arithmetic overflow, aborted search (overflow, or a depth beyond the
+relation search budget) or out of memory.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from typing import Sequence
 
@@ -214,21 +216,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        results, ok = args.handler(args)
-    except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError) as exc:
-        return _error(exc, 2)
-    except (CountOverflow, SearchAborted) as exc:
-        return _error(exc, 3)
-    except MemoryError:
-        return _error("out of memory", 3)
-    lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
     # --output (sweep only) sends the records to a file and the human
-    # summary to stdout, whether or not --json is given.
+    # summary to stdout, whether or not --json is given.  The file is opened
+    # before the work starts, so a bad path fails at once.
     output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    try:
+        sink = open(output, "w") if output else nullcontext()
+    except OSError as exc:
+        return _error(exc, 2)
+    with sink:
+        try:
+            results, ok = args.handler(args)
+        except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError) as exc:
+            return _error(exc, 2)
+        except (CountOverflow, SearchAborted) as exc:
+            return _error(exc, 3)
+        except MemoryError:
+            return _error("out of memory", 3)
+        lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
+        if output:
+            try:
+                sink.write("\n".join(lines) + "\n")
+                sink.close()  # flushes, so a full disk fails here too
+            except OSError as exc:
+                return _error(exc, 2)
     for line, (_, human) in zip(lines, results):
         text = line if args.json and not output else human
         if text is not None:

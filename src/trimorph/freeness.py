@@ -22,11 +22,12 @@ from .words import CountOverflow
 
 
 class SearchAborted(RuntimeError):
-    """A product overflowed the 64-bit word bound during the search."""
+    """A product overflowed the 64-bit word bound during the search, or the
+    requested depth is beyond MAX_DEPTH."""
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, message: str | None = None):
         self.depth = depth
-        super().__init__(f"relation search aborted by overflow at depth {depth}")
+        super().__init__(message or f"relation search aborted by overflow at depth {depth}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class Relation:
 
 
 DEFAULT_DEPTH = 6
+# The last level of the search holds 2^depth products.
+MAX_DEPTH = 16
 
 
 def _first_collision(
@@ -50,6 +53,8 @@ def _first_collision(
     """
     if depth < 1:
         raise ValueError("depth must be positive")
+    if depth > MAX_DEPTH:
+        raise SearchAborted(depth, f"depth {depth} exceeds the search budget of {MAX_DEPTH}")
     seen: dict = {}
     prefix: dict[tuple[int, ...], object] = {}
     for length in range(1, depth + 1):

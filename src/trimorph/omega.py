@@ -89,7 +89,8 @@ def _require_gapped(form: TriangularForm) -> Core:
     return core
 
 
-def _geometric(s: int, m: int) -> int:
+def geometric(s: int, m: int) -> int:
+    """G(s, m) = 1 + s + ... + s^(m-1); h^m(b) carries gamma * G(s, m) outer a's."""
     return m if s == 1 else (s**m - 1) // (s - 1)
 
 
@@ -99,7 +100,7 @@ def gap(form: TriangularForm, i: int) -> int:
     if i < 1:
         raise ValueError("i must be positive")
     m, d = val_and_digit(i, core.p)
-    value = core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * _geometric(form.s, m)
+    value = core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
     if value > MAX_COUNT:
         raise CountOverflow(f"gap {value} exceeds 64-bit bound")
     return value
@@ -128,7 +129,7 @@ def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
     table = _md_table(core.p, upto)
     max_m = max(m for m, _ in table[:upto])
     spow = [s**k for k in range(max_m + 1)]
-    geo = [_geometric(s, k) for k in range(max_m + 1)]
+    geo = [geometric(s, k) for k in range(max_m + 1)]
     if max(alphas) * spow[max_m] + gg * geo[max_m] > MAX_COUNT:
         raise CountOverflow("gap values exceed the 64-bit bound")
     return [alphas[d - 1] * spow[m] + gg * geo[m] for m, d in table[:upto]]

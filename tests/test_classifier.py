@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -15,8 +18,18 @@ from trimorph.classifier import (
     classify,
     direct_commute,
 )
-from trimorph.morphisms import NotUpperTriangular, parse_morphism
-from trimorph.words import Word, b_core
+from trimorph.morphisms import (
+    BinaryMorphism,
+    Core,
+    NotUpperTriangular,
+    parse_morphism,
+    power,
+    shape_to_word,
+    to_triangular,
+)
+from trimorph.numtheory import Dependent, mult_dependence
+from trimorph.sweep import SweepConfig, enumerate_morphisms
+from trimorph.words import A, CountOverflow, Word, b_core
 
 
 def m(text):
@@ -127,3 +140,130 @@ def test_report_record_shape():
     assert record["schema"] == 1
     assert record["kind"] == "classification"
     assert set(record) >= {"case", "swapped", "conditions", "witness", "prediction"}
+
+
+# --- MultDependent: the closed form against materialised power images
+
+def materialised_mult_dependent(report, g1, g2):
+    """The MultDependent conditions and witness read off g1^n and g2^m,
+    built by composition, with the roles of the report."""
+    if report.swapped:
+        g1, g2 = g2, g1
+    f1, f2 = to_triangular(g1), to_triangular(g2)
+    dep = mult_dependence(f1.b_count, f2.b_count)
+    assert isinstance(dep, Dependent)
+    h1 = power(g1, dep.n)
+    h2 = power(g2, dep.m)
+    conjugate = f1.s == 1 and f2.s == 1 and a_conjugates(h1.image_b, h2.image_b)
+    conditions = {
+        "equal_powers": h1 == h2,
+        "both_b_powers": g1.image_b.occ(A) == 0 and g2.image_b.occ(A) == 0,
+        "power_images_a_conjugate": conjugate,
+    }
+    witness = {"r": dep.r, "m": dep.m, "n": dep.n}
+    if conjugate:
+        _, core_word, _ = b_core(h1.image_b)
+        if core_word.length() <= 80:
+            witness["conjugate_core"] = core_word.to_text()
+    return conditions, witness
+
+
+def test_mult_dependent_matches_materialised_on_default_sweep():
+    gapped = [
+        g
+        for g in enumerate_morphisms(SweepConfig())
+        if to_triangular(g).s >= 1 and to_triangular(g).b_count >= 2
+    ]
+    checked = 0
+    for g1 in gapped:
+        for g2 in gapped:
+            report = classify(g1, g2)
+            if report.case != CASE_MULT_DEPENDENT:
+                continue
+            checked += 1
+            assert (report.conditions, report.witness) == materialised_mult_dependent(
+                report, g1, g2
+            ), (g1, g2)
+    assert checked == 65_610
+
+
+# (p, q) with p = r^m and q = r^n: power images hold from 3 to 3^6 b's.
+DEPENDENT_RUNGS = ((2, 2), (3, 3), (2, 4), (4, 2), (2, 8), (4, 8), (8, 4), (9, 27), (27, 9))
+
+
+def gapped_morphism(draw, p, s, gap_values):
+    """A morphism a -> a^s with p b's in the image of b."""
+    pick = st.sampled_from(gap_values)
+    shape = Core(draw(pick), tuple(draw(pick) for _ in range(p - 1)), draw(pick))
+    return BinaryMorphism(Word.single(A, s), shape_to_word(shape))
+
+
+@st.composite
+def dependent_pairs(draw):
+    """Pairs with dependent b-counts: free rungs, a morphism against its own
+    power, and (with s = 1) against an a-conjugate of its power."""
+    kind = draw(st.sampled_from(("rung", "power", "conjugated_power")))
+    # Few distinct gap values make equal and conjugate powers likely.
+    gap_values = draw(st.sampled_from(((0,), (1,), (0, 1), (1, 2), (0, 1, 2))))
+    if kind == "rung":
+        p, q = draw(st.sampled_from(DEPENDENT_RUNGS))
+        s = draw(st.integers(1, 3))
+        t = s if draw(st.booleans()) else draw(st.integers(1, 3))
+        g1 = gapped_morphism(draw, p, s, gap_values)
+        g2 = gapped_morphism(draw, q, t, gap_values)
+        return g1, g2
+    p = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    s = 1 if kind == "conjugated_power" else draw(st.integers(1, 2))
+    g = gapped_morphism(draw, p, s, gap_values)
+    h = power(g, k)
+    if kind == "conjugated_power":
+        lead, _, _ = b_core(h.image_b)
+        i = draw(st.integers(0, lead))
+        text = h.image_b.to_text()
+        h = BinaryMorphism(h.image_a, Word.parse(text[i:] + "a" * i))
+    return (g, h) if draw(st.booleans()) else (h, g)
+
+
+@given(dependent_pairs())
+@settings(max_examples=300)
+def test_mult_dependent_matches_materialised_on_dependent_rungs(pair):
+    g1, g2 = pair
+    report = classify(g1, g2)
+    assert report.case == CASE_MULT_DEPENDENT
+    assert (report.conditions, report.witness) == materialised_mult_dependent(report, g1, g2)
+    assert report.prediction == direct_commute(g1, g2)
+
+
+def test_mult_dependent_huge_power_images_answer_at_once():
+    # p = 2^6 and q = 2^7: the power images would hold 2^42 b's.
+    g1 = m("a=a,b=" + "ba" * 63 + "b")
+    g2 = m("a=a,b=" + "ba" * 127 + "b")
+    start = time.perf_counter()
+    report = classify(g1, g2)
+    elapsed = time.perf_counter() - start
+    assert report.case == CASE_MULT_DEPENDENT
+    assert report.conditions == {
+        "equal_powers": True,
+        "both_b_powers": False,
+        "power_images_a_conjugate": True,
+    }
+    assert report.witness == {"r": 2, "m": 6, "n": 7}
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        # 2^8 and 2^9 b's: the power images would hold 2^72 b's.
+        ("a=a,b=" + "b" * 256, "a=a,b=" + "b" * 512),
+        # 2 and 2^4 b's: g1^4(a) = a^(2^80).
+        ("a=" + "a" * 2**20 + ",b=bab", "a=" + "a" * 2**20 + ",b=" + "b" * 16),
+        # The gap at index 8 of g1^4(b) is 2^20 * (2^15)^3 = 2^65.
+        ("a=" + "a" * 2**15 + ",b=b" + "a" * 2**20 + "b", "a=" + "a" * 2**15 + ",b=" + "b" * 16),
+    ],
+)
+def test_mult_dependent_power_counts_beyond_64_bits_overflow(g1, g2):
+    for pair in ((g1, g2), (g2, g1)):
+        with pytest.raises(CountOverflow):
+            classify(*map(m, pair))

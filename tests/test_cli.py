@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import trimorph
+from trimorph import cli
 from trimorph.cli import EXAMPLE_PAIRS, main
+from trimorph.freeness import MAX_DEPTH
 
 SRC = Path(trimorph.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -214,6 +216,25 @@ def test_aborted_search_exits_three(capsys):
     assert "error:" in err
 
 
+def test_free_depth_beyond_budget_exits_three(capsys):
+    # The search would keep 2^40 prefixes; the budget refuses it at once.
+    code, out, err = run(capsys, "free", "a=a,b=bab", "a=aa,b=b", "--depth", "40")
+    assert (code, out) == (3, "")
+    assert err == f"error: depth 40 exceeds the search budget of {MAX_DEPTH}\n"
+
+
+def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before the output file was opened")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    path = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run(capsys, "sweep", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def run_module(*argv, preexec_fn=None):
     """Run `python -m trimorph.cli` in a fresh interpreter."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
@@ -233,16 +254,16 @@ def test_module_entry_point_runs_main():
 
 
 def test_out_of_memory_exits_three():
-    # p = 2^6 and q = 2^7, so classify builds MultDependent power images
-    # with 2^42 b's; under a 1 GiB address-space limit (in the child only)
-    # that runs out of memory.
-    g1 = "a=a,b=" + "ba" * 63 + "b"
-    g2 = "a=a,b=" + "ba" * 127 + "b"
+    # check composes both ways: each composite b-image holds 20001 * 20002
+    # b's in runs of one, which a 1 GiB address-space limit (set in the
+    # child only) cannot hold.
+    g1 = "a=a,b=" + "ba" * 20000 + "b"
+    g2 = "a=a,b=" + "ba" * 20001 + "b"
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = run_module("classify", g1, g2, preexec_fn=limit_memory)
+    proc = run_module("check", g1, g2, preexec_fn=limit_memory)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import morphisms, triangular_morphisms
 from trimorph.freeness import (
+    MAX_DEPTH,
     Relation,
     SearchAborted,
     find_relation,
@@ -45,6 +46,14 @@ def test_search_aborts_on_overflow():
     with pytest.raises(SearchAborted) as exc:
         find_relation(g1, g2, 6)
     assert 1 < exc.value.depth <= 6
+
+
+def test_depth_beyond_budget_aborts_at_once():
+    g1, g2 = m("a=a,b=bab"), m("a=aa,b=b")
+    for search in (find_relation, matrix_collision):
+        with pytest.raises(SearchAborted) as exc:
+            search(g1, g2, MAX_DEPTH + 1)
+        assert exc.value.depth == MAX_DEPTH + 1
 
 
 def test_matrix_collision_examples():
