@@ -66,6 +66,6 @@ from .classifier import (
     direct_commute,
 )
 from .freeness import Relation, SearchAborted, find_relation, matrix_collision, verify_relation
-from .sweep import SweepConfig, SweepResult, enumerate_morphisms, run_sweep
+from .sweep import SweepConfig, SweepResult, SweepTooLarge, enumerate_morphisms, run_sweep
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ case's full list of structural conditions without short-circuiting, and
 predicts commutation as their disjunction.  direct_commute() is the
 independent oracle: it composes both ways and compares images, with no
 structural reasoning at all.  The two must agree on every upper triangular
-pair; the sweep harness checks that exhaustively.
+pair; the sweep harness checks that exhaustively, composing only the pairs
+whose occurrence matrices commute (a pair whose matrices do not commute
+cannot commute).
 
 Cases, after normalizing roles (swapped records whether the inputs traded
 places):
@@ -33,7 +35,6 @@ from .morphisms import (
     Core,
     IDENTITY,
     TriangularForm,
-    b_image_shape,
     compose,
     shape_to_word,
     to_triangular,
@@ -107,16 +108,14 @@ def _uniform_gap(shape: Core) -> int | None:
     return shape.alphas[0]
 
 
-def _match_block_powers(u: Word, v: Word) -> dict | None:
-    """Match u = (a^alpha b a^beta)^i and v = (b a^(alpha+beta))^j b.
+def _match_block_powers(su: Core, sv: Core) -> dict | None:
+    """Match u = (a^alpha b a^beta)^i and v = (b a^(alpha+beta))^j b, given
+    the b-image shapes su of u and sv of v.
 
-    Both words must contain b.  The block parameters are forced: alpha and
-    beta are u's outer paddings, and every interior gap on either side must
-    equal alpha + beta.  Returns the parameters, or None.
+    The block parameters are forced: alpha and beta are u's outer paddings,
+    and every interior gap on either side must equal alpha + beta.  Returns
+    the parameters, or None.
     """
-    su = b_image_shape(u)
-    sv = b_image_shape(v)
-    assert isinstance(su, Core) and isinstance(sv, Core)
     alpha, beta = su.gamma1, su.gamma2
     if any(g != alpha + beta for g in su.alphas):
         return None
@@ -194,7 +193,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
             g1, g2, f1, f2 = g2, g1, f2, f1
         u, v = g1.image_b, g2.image_b
         t = f2.s
-        block = _match_block_powers(u, v) if t == 1 else None
+        block = _match_block_powers(f1.bpart, f2.bpart) if t == 1 else None
         conditions = {
             "equal_morphisms": g1 == g2,
             "partner_is_identity": g2 == IDENTITY,

@@ -6,7 +6,8 @@ nonempty string over {a,b} or the literal 'eps'; whitespace is ignored.
 Exit codes: 0 success (and true for assertions), 1 asserted property false,
 2 usage or parse error or an --output file that cannot be written, 3
 arithmetic overflow, aborted search (overflow, or a depth beyond the
-relation search budget) or out of memory.
+relation search budget), sweep bounds beyond the sweep budget or out of
+memory.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .omega import (
     gap_sequence_direct,
     omega_prefix,
 )
-from .sweep import SweepConfig, run_sweep
+from .sweep import SweepConfig, SweepTooLarge, run_sweep
 from .words import CountOverflow, ParseError, Word
 
 # Commuting pairs exercising each structural mechanism; used by the
@@ -229,7 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             results, ok = args.handler(args)
         except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError) as exc:
             return _error(exc, 2)
-        except (CountOverflow, SearchAborted) as exc:
+        except (CountOverflow, SearchAborted, SweepTooLarge) as exc:
             return _error(exc, 3)
         except MemoryError:
             return _error("out of memory", 3)

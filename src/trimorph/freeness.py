@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .morphisms import BinaryMorphism, compose, mat_mul, matrix
+from .morphisms import BinaryMorphism, compose, mat_mul
 from .words import CountOverflow
 
 
@@ -83,7 +83,7 @@ def find_relation(
 
 def matrix_collision(g1: BinaryMorphism, g2: BinaryMorphism, depth: int) -> bool:
     """True iff two distinct sequences of length <= depth share a matrix product."""
-    return _first_collision((matrix(g1).rows, matrix(g2).rows), mat_mul, depth) is not None
+    return _first_collision((g1.rows, g2.rows), mat_mul, depth) is not None
 
 
 def verify_relation(g1: BinaryMorphism, g2: BinaryMorphism, rel: Relation) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .words import (
     A,
@@ -46,6 +46,15 @@ class BinaryMorphism:
 
     def image(self, letter: str) -> Word:
         return self.image_a if letter == A else self.image_b
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The rows of the occurrence matrix (see MorphMatrix), computed once
+        per morphism."""
+        return (
+            (self.image_a.occ(A), self.image_b.occ(A)),
+            (self.image_a.occ(B), self.image_b.occ(B)),
+        )
 
 
 IDENTITY = BinaryMorphism(WORD_A, WORD_B)
@@ -119,12 +128,7 @@ class MorphMatrix:
 
 
 def matrix(g: BinaryMorphism) -> MorphMatrix:
-    return MorphMatrix(
-        (
-            (g.image_a.occ(A), g.image_b.occ(A)),
-            (g.image_a.occ(B), g.image_b.occ(B)),
-        )
-    )
+    return MorphMatrix(g.rows)
 
 
 def is_nonsingular(g: BinaryMorphism) -> bool:

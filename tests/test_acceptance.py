@@ -103,6 +103,38 @@ def test_criterion_1_sweep_matches_oracle(default_sweep):
     )
 
 
+def test_default_sweep_tallies_and_screen(default_sweep):
+    # The tallies of the sweep that composed every pair; the matrix screen
+    # settles 207,320 pairs and leaves 26,936 to composition.
+    result, _ = default_sweep
+    assert result.commuting == 3710
+    assert result.screened == 207_320
+    assert result.cases == {
+        "BothGapOne": 729,
+        "GapOneVsMany": 17496,
+        "MultDependent": 65610,
+        "MultIndependent": 39366,
+        "SingularAImage": 95823,
+        "SingularBImage": 15232,
+    }
+    assert result.conditions == {
+        "BothGapOne.padding_balance": 143,
+        "GapOneVsMany.both_b_powers": 36,
+        "GapOneVsMany.g1_is_identity": 648,
+        "MultDependent.both_b_powers": 18,
+        "MultDependent.equal_powers": 324,
+        "MultDependent.power_images_a_conjugate": 228,
+        "MultIndependent.both_b_powers": 18,
+        "MultIndependent.uniform_blocks_same_gap": 6,
+        "SingularAImage.block_shift_match": 114,
+        "SingularAImage.both_b_powers": 63,
+        "SingularAImage.equal_morphisms": 117,
+        "SingularAImage.erasing_pair_commutes": 153,
+        "SingularAImage.partner_is_identity": 234,
+        "SingularBImage.length_identity": 1922,
+    }
+
+
 def test_criterion_2_case_and_condition_coverage(default_sweep):
     result, _ = default_sweep
     for case in CASES:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import trimorph
-from trimorph import cli
+from trimorph import cli, sweep
 from trimorph.cli import EXAMPLE_PAIRS, main
 from trimorph.freeness import MAX_DEPTH
 
@@ -150,8 +150,10 @@ def test_sweep_human_summary(capsys):
         "--max-s", "1", "--max-p", "1", "--max-exp", "1", "--max-bonly-exp", "1",
     )
     assert code == 0
-    assert out.startswith("morphisms=")
-    assert "mismatches=0" in out
+    assert out == (
+        "morphisms=12 pairs=144 commuting=68 mismatches=0\n"
+        "cases: BothGapOne=16 SingularAImage=48 SingularBImage=80\n"
+    )
 
 
 def test_sweep_json_output_file(capsys, tmp_path):
@@ -221,6 +223,17 @@ def test_free_depth_beyond_budget_exits_three(capsys):
     code, out, err = run(capsys, "free", "a=a,b=bab", "a=aa,b=b", "--depth", "40")
     assert (code, out) == (3, "")
     assert err == f"error: depth 40 exceeds the search budget of {MAX_DEPTH}\n"
+
+
+def test_sweep_beyond_budget_exits_three_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(config):
+        raise AssertionError("a sweep beyond the budget was enumerated")
+
+    monkeypatch.setattr(sweep, "enumerate_morphisms", no_enumeration)
+    code, out, err = run(capsys, "sweep", "--max-p", "30")
+    assert (code, out) == (3, "")
+    budget = sweep.MAX_PAIRS
+    assert err == f"error: the sweep bounds give more than {budget} pairs, the sweep budget\n"
 
 
 def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import as_strings, morphisms, napply, ncompose, npower, triangular_morphisms, word_texts
+from trimorph.classifier import direct_commute
 from trimorph.morphisms import (
     BinaryMorphism,
     BOnly,
@@ -17,6 +18,7 @@ from trimorph.morphisms import (
     format_morphism,
     is_nonsingular,
     is_special_pair,
+    mat_mul,
     matrix,
     parse_morphism,
     power,
@@ -122,6 +124,19 @@ def test_power_matches_string_oracle(g, n):
 @given(morphisms(6), morphisms(6))
 def test_matrix_is_multiplicative(g1, g2):
     assert matrix(compose(g1, g2)) == matrix(g1) @ matrix(g2)
+
+
+@given(morphisms(5), morphisms(5), st.integers(0, 3), st.booleans())
+def test_matrices_that_do_not_commute_rule_out_commuting(g1, h, k, related):
+    # The sweep's screen.  Powers of one morphism always commute, so related
+    # pairs check that commuting morphisms pass it.
+    g2 = power(g1, k) if related else h
+    for g in (g1, g2):
+        ga, gb = as_strings(g)
+        assert g.rows == ((ga.count("a"), gb.count("a")), (ga.count("b"), gb.count("b")))
+    passes = mat_mul(g1.rows, g2.rows) == mat_mul(g2.rows, g1.rows)
+    assert passes or not direct_commute(g1, g2)
+    assert passes or not related
 
 
 @given(morphisms(5), st.integers(0, 2), st.integers(0, 2))

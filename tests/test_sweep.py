@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import pytest
+
+from trimorph import sweep
 from trimorph.classifier import direct_commute
-from trimorph.morphisms import format_morphism, is_nonsingular
-from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep
+from trimorph.morphisms import format_morphism, is_nonsingular, matrix
+from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep, sweep_range
 
 TINY = SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=2)
 
@@ -42,6 +46,77 @@ def test_sweep_agrees_with_direct_oracle_on_counts():
     morphs = enumerate_morphisms(TINY)
     manual = sum(1 for g1 in morphs for g2 in morphs if direct_commute(g1, g2))
     assert result.commuting == manual
+    mats = [matrix(g) for g in morphs]
+    assert result.screened == sum(m1 @ m2 != m2 @ m1 for m1 in mats for m2 in mats)
+    assert 0 < result.screened < result.pairs - result.commuting
+
+
+def test_screened_pairs_still_report_mismatches(monkeypatch):
+    # Every pair predicted to commute: each non-commuting pair is a
+    # mismatch, screened or composed, with the oracle answer false.
+    original = sweep.classify
+    monkeypatch.setattr(
+        sweep, "classify", lambda g1, g2: dataclasses.replace(original(g1, g2), prediction=True)
+    )
+    morphs = enumerate_morphisms(TINY)
+    pairs = len(morphs) ** 2
+    commuting, _, _, mismatches = sweep_range(morphs, 0, pairs)
+    assert len(mismatches) == pairs - commuting
+    assert all(rec["predicted"] is True and rec["actual"] is False for rec in mismatches)
+    result = run_sweep(TINY)
+    assert result.mismatches == mismatches
+    screened = 0
+    for rec in mismatches:
+        i, j = divmod(rec["index"], len(morphs))
+        m1, m2 = matrix(morphs[i]), matrix(morphs[j])
+        screened += m1 @ m2 != m2 @ m1
+    assert screened == result.screened > 0
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (3, 3, 2, 3),
+        (2, 2, 1, 2),
+        (1, 0, 3, 0),
+        (0, 4, 0, 1),
+        (-1, 2, 1, 1),
+        (1, -1, 1, -1),
+        (2, 3, -1, 4),
+        (1, 2, -3, 1),
+    ],
+)
+def test_pair_count_matches_enumeration(bounds):
+    config = SweepConfig(*bounds)
+    assert config.pair_count() == len(enumerate_morphisms(config)) ** 2
+
+
+def test_parallel_workers_are_clamped_to_cpu_count(monkeypatch):
+    started = []
+
+    class FakePool:
+        """Runs the chunks in this process and records the worker count."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
+    result = run_sweep(dataclasses.replace(TINY, parallel=100_000))
+    assert started == [3]
+    assert result.summary_record() == run_sweep(TINY).summary_record()
+    # No pairs, no pool.
+    empty = run_sweep(SweepConfig(max_s=-1, parallel=2))
+    assert (started, empty.pairs, empty.mismatches) == ([3], 0, [])
 
 
 def test_parallel_sweep_matches_serial():
