@@ -1,13 +1,16 @@
 """Structural commutation test for upper triangular morphism pairs.
 
-classify() routes every ordered pair into exactly one case, evaluates that
-case's full list of structural conditions without short-circuiting, and
-predicts commutation as their disjunction.  direct_commute() is the
-independent oracle: it composes both ways and compares images, with no
-structural reasoning at all.  The two must agree on every upper triangular
-pair; the sweep harness checks that exhaustively, composing only the pairs
-whose occurrence matrices commute (a pair whose matrices do not commute
-cannot commute).
+classify() decides from the two triangular forms a -> a^s,
+b -> a^gamma1 b a^alpha1 ... b a^gamma2, each cached on its morphism; the
+images are read only to test whether two erasing morphisms' b-images
+commute as words.  It routes every ordered pair into exactly one case,
+evaluates that case's full list of structural conditions without
+short-circuiting, and predicts commutation as their disjunction.
+direct_commute() is the independent oracle: it composes both ways and
+compares images, with no structural reasoning at all.  The two must agree
+on every upper triangular pair; the sweep harness checks that
+exhaustively, composing only the pairs whose occurrence matrices commute
+(a pair whose matrices do not commute cannot commute).
 
 Cases, after normalizing roles (swapped records whether the inputs traded
 places):
@@ -33,7 +36,7 @@ from .morphisms import (
     BinaryMorphism,
     BOnly,
     Core,
-    IDENTITY,
+    IDENTITY_FORM,
     TriangularForm,
     compose,
     shape_to_word,
@@ -41,7 +44,7 @@ from .morphisms import (
 )
 from .numtheory import Dependent, mult_dependence
 from .omega import gap, gap_sequence, geometric
-from .words import A, B, MAX_COUNT, CountOverflow, Word, b_core, words_commute
+from .words import MAX_COUNT, CountOverflow, Word, b_core, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
 CASE_SINGULAR_A_IMAGE = "SingularAImage"
@@ -100,10 +103,7 @@ class CommutationReport:
 
 def _uniform_gap(shape: Core) -> int | None:
     """The shared interior gap of (b a^alpha)^(p-1) b, or None if not of that shape."""
-    if shape.gamma1 or shape.gamma2:
-        return None
-    gaps = set(shape.alphas)
-    if len(gaps) != 1:
+    if shape.gamma1 or shape.gamma2 or len(set(shape.alphas)) != 1:
         return None
     return shape.alphas[0]
 
@@ -117,11 +117,7 @@ def _match_block_powers(su: Core, sv: Core) -> dict | None:
     the parameters, or None.
     """
     alpha, beta = su.gamma1, su.gamma2
-    if any(g != alpha + beta for g in su.alphas):
-        return None
-    if sv.gamma1 or sv.gamma2:
-        return None
-    if any(g != alpha + beta for g in sv.alphas):
+    if sv.gamma1 or sv.gamma2 or any(g != alpha + beta for g in su.alphas + sv.alphas):
         return None
     return {"alpha": alpha, "beta": beta, "i": su.p, "j": sv.p - 1}
 
@@ -164,93 +160,83 @@ def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) 
     return True
 
 
+def _report(
+    case: str, swapped: bool, conditions: dict[str, bool], witness: dict | None = None
+) -> CommutationReport:
+    """The report for a case, predicting commutation as the disjunction of
+    its conditions."""
+    return CommutationReport(case, swapped, conditions, witness, any(conditions.values()))
+
+
 def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
-    """Structural commutation report for an upper triangular pair.
+    """Structural commutation report for an upper triangular pair, decided
+    from the two triangular forms.
 
     Raises NotUpperTriangular when either image of a contains b.
     """
     f1 = to_triangular(g1)
     f2 = to_triangular(g2)
+    both_b_powers = f1.a_count == 0 and f2.a_count == 0
 
+    # Normalize roles once: a b-free image of b first, else an empty image
+    # of a first, else the smaller b-count first.
     if isinstance(f1.bpart, BOnly) or isinstance(f2.bpart, BOnly):
         swapped = not isinstance(f1.bpart, BOnly)
-        if swapped:
-            g1, g2, f1, f2 = g2, g1, f2, f1
-        lhs = g1.image_a.length() * g2.image_b.occ(A) + g1.image_b.length() * g2.image_b.occ(B)
-        rhs = g2.image_a.length() * g1.image_b.length()
-        conditions = {"length_identity": lhs == rhs}
-        return CommutationReport(
+    elif f1.s == 0 or f2.s == 0:
+        swapped = f1.s != 0
+    else:
+        swapped = f1.b_count > f2.b_count
+    if swapped:
+        f1, f2 = f2, f1
+    c1, c2 = f1.bpart, f2.bpart
+    s, t = f1.s, f2.s
+
+    if isinstance(c1, BOnly):
+        # |g1 g2 (b)| against |g2 g1 (b)|.
+        lhs = s * f2.a_count + c1.e * f2.b_count
+        rhs = t * c1.e
+        return _report(
             CASE_SINGULAR_B_IMAGE,
             swapped,
-            conditions,
+            {"length_identity": lhs == rhs},
             {"composed_b_image_lengths": [lhs, rhs]},
-            any(conditions.values()),
         )
 
-    if f1.s == 0 or f2.s == 0:
-        swapped = f1.s != 0
-        if swapped:
-            g1, g2, f1, f2 = g2, g1, f2, f1
-        u, v = g1.image_b, g2.image_b
-        t = f2.s
-        block = _match_block_powers(f1.bpart, f2.bpart) if t == 1 else None
+    assert isinstance(c2, Core)
+    if s == 0:
+        block = _match_block_powers(c1, c2) if t == 1 else None
         conditions = {
-            "equal_morphisms": g1 == g2,
-            "partner_is_identity": g2 == IDENTITY,
-            "erasing_pair_commutes": t == 0 and words_commute(u, v),
-            "both_b_powers": u.occ(A) == 0 and v.occ(A) == 0,
+            "equal_morphisms": f1 == f2,
+            "partner_is_identity": f2 == IDENTITY_FORM,
+            # words_commute is symmetric, so the inputs' order does not matter.
+            "erasing_pair_commutes": t == 0 and words_commute(g1.image_b, g2.image_b),
+            "both_b_powers": both_b_powers,
             "block_shift_match": block is not None,
         }
-        return CommutationReport(
-            CASE_SINGULAR_A_IMAGE,
-            swapped,
-            conditions,
-            block,
-            any(conditions.values()),
-        )
+        return _report(CASE_SINGULAR_A_IMAGE, swapped, conditions, block)
 
-    # Both nonsingular from here on.
-    assert isinstance(f1.bpart, Core) and isinstance(f2.bpart, Core)
-    swapped = f1.bpart.p > f2.bpart.p
-    if swapped:
-        g1, g2, f1, f2 = g2, g1, f2, f1
-    c1, c2 = f1.bpart, f2.bpart
+    # Both nonsingular from here on, with p <= q.
     p, q = c1.p, c2.p
-    s, t = f1.s, f2.s
 
     if p == 1 and q == 1:
         conditions = {
             "padding_balance": (s - 1) * c2.gamma1 == (t - 1) * c1.gamma1
             and (s - 1) * c2.gamma2 == (t - 1) * c1.gamma2
         }
-        return CommutationReport(
-            CASE_BOTH_GAP_ONE, swapped, conditions, None, any(conditions.values())
-        )
+        return _report(CASE_BOTH_GAP_ONE, swapped, conditions)
 
     if p == 1:
-        conditions = {
-            "g1_is_identity": g1 == IDENTITY,
-            "both_b_powers": g1.image_b.occ(A) == 0 and g2.image_b.occ(A) == 0,
-        }
-        return CommutationReport(
-            CASE_GAP_ONE_VS_MANY, swapped, conditions, None, any(conditions.values())
-        )
+        conditions = {"g1_is_identity": f1 == IDENTITY_FORM, "both_b_powers": both_b_powers}
+        return _report(CASE_GAP_ONE_VS_MANY, swapped, conditions)
 
     dep = mult_dependence(p, q)
     if not isinstance(dep, Dependent):
         gap1 = _uniform_gap(c1)
         gap2 = _uniform_gap(c2)
-        uniform = (
-            s == 1 and t == 1 and gap1 is not None and gap1 == gap2
-        )
-        conditions = {
-            "both_b_powers": g1.image_b.occ(A) == 0 and g2.image_b.occ(A) == 0,
-            "uniform_blocks_same_gap": uniform,
-        }
+        uniform = s == 1 and t == 1 and gap1 is not None and gap1 == gap2
+        conditions = {"both_b_powers": both_b_powers, "uniform_blocks_same_gap": uniform}
         witness = {"alpha": gap1} if uniform else None
-        return CommutationReport(
-            CASE_MULT_INDEPENDENT, swapped, conditions, witness, any(conditions.values())
-        )
+        return _report(CASE_MULT_INDEPENDENT, swapped, conditions, witness)
 
     r, m, n = dep.r, dep.m, dep.n
     # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
@@ -265,7 +251,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     conjugate = conjugate_outside and agree
     conditions = {
         "equal_powers": same_outside and agree,
-        "both_b_powers": g1.image_b.occ(A) == 0 and g2.image_b.occ(A) == 0,
+        "both_b_powers": both_b_powers,
         "power_images_a_conjugate": conjugate,
     }
     witness: dict = {"r": r, "m": m, "n": n}
@@ -274,6 +260,4 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
         gaps = gap_sequence(f1, nb - 1)
         if nb + sum(gaps) <= 80:
             witness["conjugate_core"] = shape_to_word(Core(0, tuple(gaps), 0)).to_text()
-    return CommutationReport(
-        CASE_MULT_DEPENDENT, swapped, conditions, witness, any(conditions.values())
-    )
+    return _report(CASE_MULT_DEPENDENT, swapped, conditions, witness)

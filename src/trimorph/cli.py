@@ -4,10 +4,10 @@ Morphism arguments use the syntax 'a=<word>,b=<word>' where each word is a
 nonempty string over {a,b} or the literal 'eps'; whitespace is ignored.
 
 Exit codes: 0 success (and true for assertions), 1 asserted property false,
-2 usage or parse error or an --output file that cannot be written, 3
-arithmetic overflow, aborted search (overflow, or a depth beyond the
-relation search budget), sweep bounds beyond the sweep budget or out of
-memory.
+2 usage or parse error, a negative sweep bound or --parallel below 1, or an
+--output file that cannot be written, 3 arithmetic overflow, aborted search
+(overflow, or a depth beyond the relation search budget), sweep bounds
+beyond the sweep budget or out of memory.
 """
 from __future__ import annotations
 

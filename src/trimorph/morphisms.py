@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .words import (
     A,
@@ -55,6 +55,13 @@ class BinaryMorphism:
             (self.image_a.occ(A), self.image_b.occ(A)),
             (self.image_a.occ(B), self.image_b.occ(B)),
         )
+
+    @cached_property
+    def form(self) -> TriangularForm:
+        """to_triangular(self), computed once; a failure raises on every access."""
+        if self.image_a.occ(B) != 0:
+            raise NotUpperTriangular(f"image of a is {self.image_a.to_text()!r}")
+        return TriangularForm(self.image_a.length(), b_image_shape(self.image_b))
 
 
 IDENTITY = BinaryMorphism(WORD_A, WORD_B)
@@ -204,6 +211,12 @@ class TriangularForm:
     def b_count(self) -> int:
         return self.bpart.p if isinstance(self.bpart, Core) else 0
 
+    @property
+    def a_count(self) -> int:
+        """Occurrences of a in the image of b."""
+        part = self.bpart
+        return part.e if isinstance(part, BOnly) else part.gamma1 + sum(part.alphas) + part.gamma2
+
     def is_nonsingular(self) -> bool:
         return self.s >= 1 and isinstance(self.bpart, Core)
 
@@ -214,12 +227,12 @@ class TriangularForm:
         return BinaryMorphism(Word.single(A, self.s), self.image_b())
 
 
-@lru_cache(maxsize=4096)
+IDENTITY_FORM = TriangularForm(1, Core(0, (), 0))
+
+
 def to_triangular(g: BinaryMorphism) -> TriangularForm:
     """Decompose g, or raise NotUpperTriangular when the image of a contains b."""
-    if g.image_a.occ(B) != 0:
-        raise NotUpperTriangular(f"image of a is {g.image_a.to_text()!r}")
-    return TriangularForm(g.image_a.length(), b_image_shape(g.image_b))
+    return g.form
 
 
 def is_special_pair(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:

@@ -4,13 +4,15 @@ Every integer n >= 2 has a unique primitive root d with n = d^e, e maximal
 (equivalently, d is not itself a proper power).  Two integers p, q >= 2 are
 multiplicatively dependent exactly when they share that root, and then the
 canonical witness p = r^m, q = r^n with gcd(m, n) = 1 comes from dividing
-both exponents by their gcd.
+both exponents by their gcd.  Inputs past 2^64 - 1 raise CountOverflow.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .words import MAX_COUNT, CountOverflow
 
 # Primes up to 64: exponents of perfect powers below 2^64 factor over these.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
@@ -90,6 +92,8 @@ def primitive_root(n: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_COUNT:
+        raise CountOverflow(f"{n} exceeds the 64-bit bound")
     d, e = n, 1
     while d >= 4:
         r = math.isqrt(d)

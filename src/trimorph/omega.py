@@ -106,33 +106,28 @@ def gap(form: TriangularForm, i: int) -> int:
     return value
 
 
-_MD_TABLES: dict[int, list[tuple[int, int]]] = {}
-
-
-def _md_table(p: int, upto: int) -> list[tuple[int, int]]:
-    table = _MD_TABLES.setdefault(p, [])
-    for i in range(len(table) + 1, upto + 1):
-        table.append(val_and_digit(i, p))
-    return table
-
-
 def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
-    """[gap(form, 1), ..., gap(form, upto)] via the closed form."""
+    """[gap(form, 1), ..., gap(form, upto)] via the closed form, built
+    blockwise: the indexes p j + 1 ... p j + p - 1 carry alpha_1 ...
+    alpha_(p-1), and gap(p j) = s gap(j) + gamma1 + gamma2.
+
+    Raises CountOverflow exactly when gap(form, i) would for some i <= upto.
+    """
     core = _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    if upto == 0:
-        return []
     s = form.s
-    alphas = core.alphas
     gg = core.gamma1 + core.gamma2
-    table = _md_table(core.p, upto)
-    max_m = max(m for m, _ in table[:upto])
-    spow = [s**k for k in range(max_m + 1)]
-    geo = [geometric(s, k) for k in range(max_m + 1)]
-    if max(alphas) * spow[max_m] + gg * geo[max_m] > MAX_COUNT:
+    seq = list(core.alphas)
+    j = 0
+    while len(seq) < upto:
+        seq.append(s * seq[j] + gg)
+        seq.extend(core.alphas)
+        j += 1
+    del seq[upto:]
+    if seq and max(seq) > MAX_COUNT:
         raise CountOverflow("gap values exceed the 64-bit bound")
-    return [alphas[d - 1] * spow[m] + gg * geo[m] for m, d in table[:upto]]
+    return seq
 
 
 def _truncate_after_b(w: Word, nb: int) -> Word:

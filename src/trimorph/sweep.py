@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 from .classifier import SCHEMA_VERSION, classify, direct_commute
@@ -41,7 +41,7 @@ class SweepTooLarge(Exception):
 class SweepConfig:
     """Structural bounds: images of a up to a^max_s, b-counts up to max_p,
     a-paddings and interior gaps up to max_exp, b-free images up to
-    a^max_bonly_exp."""
+    a^max_bonly_exp.  Negative bounds and parallel < 1 raise ValueError."""
 
     max_s: int = 3
     max_p: int = 3
@@ -49,26 +49,30 @@ class SweepConfig:
     max_bonly_exp: int = 3
     parallel: int = 1
 
-    def bounds(self) -> tuple[int, int, int, int]:
-        return (self.max_s, self.max_p, self.max_exp, self.max_bonly_exp)
+    def __post_init__(self):
+        for f in fields(self):
+            least = 1 if f.name == "parallel" else 0
+            value = getattr(self, f.name)
+            if value < least:
+                raise ValueError(f"{f.name} must be at least {least}, got {value}")
 
     def pair_count(self) -> int:
         """The ordered pairs the sweep evaluates, counted without enumerating:
-        (max_s+1)^2 (max_bonly_exp+1 + sum_{p=1..max_p} (max_exp+1)^(p+1))^2,
-        a negative bound giving an empty range.  Exact up to MAX_PAIRS; past
-        it the sum stops early and the count is only some number above the
-        budget, since for a large max_p the exact one is too big to compute.
+        (max_s+1)^2 (max_bonly_exp+1 + sum_{p=1..max_p} (max_exp+1)^(p+1))^2.
+        Exact up to MAX_PAIRS; past it the sum stops early and the count is
+        only some number above the budget, since for a large max_p the exact
+        one is too big to compute.
         """
-        e = max(0, self.max_exp + 1)
-        images = max(0, self.max_bonly_exp + 1)
+        e = self.max_exp + 1
+        images = self.max_bonly_exp + 1
         if e == 1:
-            images += max(0, self.max_p)
-        elif e > 1:
+            images += self.max_p
+        else:
             for p in range(1, self.max_p + 1):
                 if images > MAX_PAIRS:
                     break
                 images += e ** (p + 1)
-        return (max(0, self.max_s + 1) * images) ** 2
+        return ((self.max_s + 1) * images) ** 2
 
 
 def enumerate_b_images(max_p: int, max_exp: int, max_bonly_exp: int) -> list[Word]:
@@ -181,22 +185,15 @@ def sweep_range(
     return _sweep_pairs(morphisms, start, end)[:4]
 
 
-_WORKER_CACHE: dict[tuple[int, int, int, int], list[BinaryMorphism]] = {}
-
-
-def _worker(args: tuple[tuple[int, int, int, int], int, int]):
-    bounds, start, end = args
-    morphisms = _WORKER_CACHE.get(bounds)
-    if morphisms is None:
-        morphisms = enumerate_morphisms(SweepConfig(*bounds))
-        _WORKER_CACHE[bounds] = morphisms
-    return _sweep_pairs(morphisms, start, end)
+def _worker(args: tuple[SweepConfig, int, int]):
+    # Enumerating the default bounds takes about 2 ms: no cache is worth it.
+    config, start, end = args
+    return _sweep_pairs(enumerate_morphisms(config), start, end)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Sweep every ordered pair within the bounds, on at most os.cpu_count()
-    worker processes and never more than there are pairs (the result does
-    not depend on the worker count).
+    worker processes (the result does not depend on the worker count).
 
     Raises SweepTooLarge, before enumerating, when the bounds give more than
     MAX_PAIRS pairs.
@@ -207,12 +204,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     n = len(morphisms)
     pairs = n * n
     result = SweepResult(config=config, morphisms=n, pairs=pairs, commuting=0)
-    workers = max(1, min(config.parallel, os.cpu_count() or 1, pairs))
+    workers = min(config.parallel, os.cpu_count() or 1)
     if workers == 1:
         chunks = [_sweep_pairs(morphisms, 0, pairs)]
     else:
         step = -(-pairs // (workers * 4))
-        ranges = [(config.bounds(), lo, min(lo + step, pairs)) for lo in range(0, pairs, step)]
+        ranges = [(config, lo, min(lo + step, pairs)) for lo in range(0, pairs, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_worker, ranges))
     for commuting, cases, conditions, mismatches, screened in chunks:

@@ -1,0 +1,34 @@
+"""The traced benchmark swaps wrappers onto library names listed in
+perfbench/tracer.py; a cleanup that drops one of them would silently stop
+its per-layer metrics.  The lists are read from the file, not imported, so
+the check needs nothing outside the package."""
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_names() -> list[tuple[str, str]]:
+    lists = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("TRACED", "WORDS_TRACED"):
+                lists[target.id] = ast.literal_eval(node.value)
+    names = list(lists["TRACED"]) + [("words", fn) for fn in lists["WORDS_TRACED"]]
+    # Imported by the tracer directly.
+    return names + [("morphisms", "matrix"), ("freeness", "matrix_collision")]
+
+
+def test_every_traced_name_exists():
+    names = _tracer_names()
+    assert len(names) > 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in names
+        if not callable(getattr(importlib.import_module(f"trimorph.{module}"), name, None))
+    ]
+    assert missing == []

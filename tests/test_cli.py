@@ -14,6 +14,7 @@ import trimorph
 from trimorph import cli, sweep
 from trimorph.cli import EXAMPLE_PAIRS, main
 from trimorph.freeness import MAX_DEPTH
+from trimorph.words import MAX_COUNT
 
 SRC = Path(trimorph.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -128,6 +129,16 @@ def test_multdep_independent(capsys):
     assert out.strip() == "independent"
 
 
+def test_multdep_beyond_64_bits_exits_three(capsys):
+    # 3^67 is dependent with 3, but its exponent is past the primes below 64.
+    for p in (3**67, MAX_COUNT + 1):
+        code, out, err = run(capsys, "multdep", str(p), "3")
+        assert (code, out) == (3, "")
+        assert err == f"error: {p} exceeds the 64-bit bound\n"
+    code, out, _ = run(capsys, "multdep", str(MAX_COUNT), "3")
+    assert (code, out) == (0, "independent\n")
+
+
 def test_free_none(capsys):
     code, out, _ = run(capsys, "free", "a=aa,b=bb", "a=aa,b=abb", "--depth", "4")
     assert code == 0
@@ -234,6 +245,23 @@ def test_sweep_beyond_budget_exits_three_before_enumerating(capsys, monkeypatch)
     assert (code, out) == (3, "")
     budget = sweep.MAX_PAIRS
     assert err == f"error: the sweep bounds give more than {budget} pairs, the sweep budget\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--max-s", "-1"), "max_s must be at least 0, got -1"),
+        (("--max-exp", "-2", "--parallel", "2"), "max_exp must be at least 0, got -2"),
+        (("--parallel", "0"), "parallel must be at least 1, got 0"),
+    ],
+)
+def test_sweep_out_of_range_bounds_exit_two(capsys, monkeypatch, argv, message):
+    def no_enumeration(config):
+        raise AssertionError("a sweep with out-of-range bounds was enumerated")
+
+    monkeypatch.setattr(sweep, "enumerate_morphisms", no_enumeration)
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):

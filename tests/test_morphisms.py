@@ -72,9 +72,19 @@ def test_to_triangular_examples():
     form = to_triangular(m("a=aa,b=abaaba"))
     assert form == TriangularForm(2, Core(1, (2,), 1))
     assert form.bpart.p == 2
+    assert (form.a_count, form.b_count) == (4, 2)
     assert to_triangular(m("a=eps,b=aaa")) == TriangularForm(0, BOnly(3))
-    with pytest.raises(NotUpperTriangular):
-        to_triangular(m("a=ab,b=b"))
+    assert to_triangular(m("a=eps,b=aaa")).a_count == 3
+
+
+def test_triangular_form_is_computed_once_per_morphism():
+    g = m("a=aa,b=abaaba")
+    assert to_triangular(g) is to_triangular(g)
+    # A failure is not cached: every call raises.
+    bad = m("a=ab,b=b")
+    for _ in range(2):
+        with pytest.raises(NotUpperTriangular):
+            to_triangular(bad)
 
 
 def test_special_pair_examples():

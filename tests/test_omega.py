@@ -89,6 +89,15 @@ def test_gap_overflow():
         gap(f, 2**150)
 
 
+def test_gap_sequence_overflows_exactly_where_gap_does():
+    # gap(6) = s gap(2) = 5 * 2^63 is the first gap past the 64-bit bound.
+    f = TriangularForm(2**63, Core(0, (0, 5), 0))
+    assert gap_sequence(f, 5) == [gap(f, i) for i in range(1, 6)] == [0, 5, 0, 0, 5]
+    for fn in (lambda: gap(f, 6), lambda: gap_sequence(f, 6)):
+        with pytest.raises(CountOverflow):
+            fn()
+
+
 @given(gapped_forms(), st.integers(1, 300))
 def test_closed_form_matches_direct(f, i):
     assert gap(f, i) == gap_direct(f, i)

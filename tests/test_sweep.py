@@ -87,6 +87,10 @@ def test_screened_pairs_still_report_mismatches(monkeypatch):
     ],
 )
 def test_pair_count_matches_enumeration(bounds):
+    if min(bounds) < 0:
+        with pytest.raises(ValueError):
+            SweepConfig(*bounds)
+        return
     config = SweepConfig(*bounds)
     assert config.pair_count() == len(enumerate_morphisms(config)) ** 2
 
@@ -114,9 +118,11 @@ def test_parallel_workers_are_clamped_to_cpu_count(monkeypatch):
     result = run_sweep(dataclasses.replace(TINY, parallel=100_000))
     assert started == [3]
     assert result.summary_record() == run_sweep(TINY).summary_record()
-    # No pairs, no pool.
-    empty = run_sweep(SweepConfig(max_s=-1, parallel=2))
-    assert (started, empty.pairs, empty.mismatches) == ([3], 0, [])
+    # A negative bound or fewer than one worker is refused before any pool.
+    for bad in (dict(max_s=-1, parallel=2), dict(parallel=0)):
+        with pytest.raises(ValueError):
+            run_sweep(SweepConfig(**bad))
+    assert started == [3]
 
 
 def test_parallel_sweep_matches_serial():
