@@ -51,7 +51,6 @@ from .omega import (
     NotApplicable,
     OmegaUndefined,
     gap,
-    gap_direct,
     gap_sequence,
     gap_sequence_direct,
     omega_eventually_periodic,

@@ -7,14 +7,14 @@ Exit codes: 0 success (and true for assertions), 1 asserted property false,
 2 usage or parse error, a negative sweep bound or --parallel below 1, or an
 --output file that cannot be written, 3 arithmetic overflow, aborted search
 (overflow, or a depth beyond the relation search budget), sweep bounds
-beyond the sweep budget or out of memory.
+beyond the sweep budget, an omega or gaps length beyond its budget, or out
+of memory.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 from dataclasses import fields
 from typing import Sequence
 
@@ -48,6 +48,11 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
     ("erasing-aligned", "a=eps,b=aa", "a=eps,b=aaa"),
     ("block-against-shift", "a=eps,b=ab", "a=a,b=bab"),
 )
+
+
+class BeyondBudget(Exception):
+    """The requested output is larger than the command's budget."""
+
 
 # A handler returns its results as (record, human line) pairs, the record
 # without its schema field and the human line None where a result prints
@@ -87,13 +92,33 @@ def _classify(args) -> Results:
     return [(record, human)], True
 
 
+# Each budget is sized so that a request at the budget answers within a few
+# seconds and 1 GiB of memory on the densest words.
+MAX_OMEGA_LEN = 3_000_000
+
+
 def _omega(args) -> Results:
-    text = omega_prefix(to_triangular(parse_morphism(args.h)), args.len).to_text()
+    form = to_triangular(parse_morphism(args.h))
+    if args.len > MAX_OMEGA_LEN:
+        raise BeyondBudget(f"--len {args.len} exceeds the omega budget of {MAX_OMEGA_LEN}")
+    text = omega_prefix(form, args.len).to_text()
     return [({"kind": "omega_prefix", "length": args.len, "word": text}, text)], True
+
+
+MAX_GAPS = 5_000_000
+# The literal expansion reads fewer than p * upto gaps, p the b's in h(b).
+MAX_DIRECT_GAPS = 4_000_000
 
 
 def _gaps(args) -> Results:
     form = to_triangular(parse_morphism(args.h))
+    if args.direct and form.b_count * args.upto > MAX_DIRECT_GAPS:
+        raise BeyondBudget(
+            f"--upto {args.upto} with {form.b_count} b's in h(b) exceeds the direct "
+            f"gaps budget of {MAX_DIRECT_GAPS} gaps read"
+        )
+    if args.upto > MAX_GAPS:
+        raise BeyondBudget(f"--upto {args.upto} exceeds the gaps budget of {MAX_GAPS}")
     values = (gap_sequence_direct if args.direct else gap_sequence)(form, args.upto)
     record = {
         "kind": "gaps",
@@ -133,7 +158,13 @@ def _free(args) -> Results:
 
 
 def _sweep(args) -> Results:
-    result = run_sweep(SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)}))
+    config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
+    # SweepConfig has checked the bounds and the pair budget, so a refused
+    # sweep leaves --output alone; an unwritable path fails here, before the
+    # sweep, with OSError.
+    if args.output:
+        open(args.output, "w").close()
+    result = run_sweep(config)
     cases = " ".join(f"{k}={v}" for k, v in sorted(result.cases.items()))
     human = (
         f"morphisms={result.morphisms} pairs={result.pairs} "
@@ -217,30 +248,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # --output (sweep only) sends the records to a file and the human
-    # summary to stdout, whether or not --json is given.  The file is opened
-    # before the work starts, so a bad path fails at once.
-    output = getattr(args, "output", None)
     try:
-        sink = open(output, "w") if output else nullcontext()
-    except OSError as exc:
+        results, ok = args.handler(args)
+    except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError, OSError) as exc:
         return _error(exc, 2)
-    with sink:
+    except (CountOverflow, SearchAborted, SweepTooLarge, BeyondBudget) as exc:
+        return _error(exc, 3)
+    except MemoryError:
+        return _error("out of memory", 3)
+    lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
+    # --output (sweep only) sends the records to a file and the human
+    # summary to stdout, whether or not --json is given.
+    output = getattr(args, "output", None)
+    if output:
         try:
-            results, ok = args.handler(args)
-        except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError) as exc:
-            return _error(exc, 2)
-        except (CountOverflow, SearchAborted, SweepTooLarge) as exc:
-            return _error(exc, 3)
-        except MemoryError:
-            return _error("out of memory", 3)
-        lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
-        if output:
-            try:
+            with open(output, "w") as sink:  # closing flushes, so a full disk fails here too
                 sink.write("\n".join(lines) + "\n")
-                sink.close()  # flushes, so a full disk fails here too
-            except OSError as exc:
-                return _error(exc, 2)
+        except OSError as exc:
+            return _error(exc, 2)
     for line, (_, human) in zip(lines, results):
         text = line if args.json and not output else human
         if text is not None:

@@ -82,13 +82,12 @@ def apply(g: BinaryMorphism, w: Word) -> Word:
         # Copies of a multi-run image only ever merge at the seam, so the
         # first run takes the boundary check and the rest append in bulk.
         first_let, first_cnt = img[0]
-        rest = img[1:]
         for _ in range(count):
             if out and out[-1][0] == first_let:
                 out[-1] = (first_let, checked_add(out[-1][1], first_cnt))
+                out.extend(img[1:])
             else:
-                out.append((first_let, first_cnt))
-            out.extend(rest)
+                out.extend(img)
     return Word(tuple(out))
 
 

@@ -7,8 +7,10 @@ letter to the infinite word
 
     omega(h) = b v h(v) h^2(v) h^3(v) ...
 
-which satisfies h(omega) = a^gamma1 omega.  Its structure is carried by the
-gap sequence: gap(h, i) counts the a's between the i-th and (i+1)-th b of
+which satisfies h(omega) = a^gamma1 omega.  The word is expanded literally
+in one place, piece by piece, and read two ways: omega_prefix appends the
+pieces, gap_sequence_direct reads their gaps.  Its structure is carried by
+the gap sequence: gap(h, i) counts the a's between the i-th and (i+1)-th b of
 omega(h).  With p >= 2 occurrences of b in h(b), interior gaps alpha_1 ...
 alpha_(p-1), and i = p^m * j with j not divisible by p and lowest nonzero
 base-p digit d, the gaps obey
@@ -21,6 +23,9 @@ agree, in which case omega(h) = (b a^alpha)^infinity.
 """
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from typing import Iterator
+
 from .morphisms import Core, TriangularForm, apply, b_image_shape
 from .numtheory import val_and_digit
 from .words import (
@@ -29,8 +34,8 @@ from .words import (
     MAX_COUNT,
     CountOverflow,
     Word,
+    checked_add,
     concat,
-    strip_leading,
     strip_quotient,
     take_prefix,
 )
@@ -52,30 +57,32 @@ def right_tail(form: TriangularForm) -> Word:
     return strip_quotient(head, form.image_b())
 
 
-def omega_prefix(form: TriangularForm, n: int) -> Word:
-    """The first n letters of omega(h)."""
-    if n < 0:
-        raise ValueError("prefix length must be nonnegative")
+def _pieces(form: TriangularForm) -> Iterator[Word]:
+    """The pieces v, h(v), h^2(v), ... of omega(h), each computed only when
+    asked for; the form is checked at the call, not at the first piece."""
     if not form.is_nonsingular():
         raise NotApplicable("omega needs a nonsingular form")
     tail = right_tail(form)
     if tail.is_empty():
         raise OmegaUndefined("h(b) = a^gamma1 b has an empty tail")
+    return accumulate(repeat(form.to_morphism()), lambda v, h: apply(h, v), initial=tail)
+
+
+def omega_prefix(form: TriangularForm, n: int) -> Word:
+    """The first n letters of omega(h)."""
+    if n < 0:
+        raise ValueError("prefix length must be nonnegative")
+    pieces = _pieces(form)
     if n == 0:
         return Word()
-    h = form.to_morphism()
-    acc = Word(((B, 1),))
-    acc_len = 1
-    cur = tail
-    while acc_len < n:
-        piece = take_prefix(cur, n - acc_len)
+    if form.b_count == 1:
+        # Every piece is a power of a, so omega(h) = b a^infinity.
+        return Word.from_runs(((B, 1), (A, n - 1)))
+    acc, held = Word(((B, 1),)), 1
+    while held < n:
+        piece = take_prefix(next(pieces), n - held)
         acc = concat(acc, piece)
-        acc_len += piece.length()
-        if acc_len >= n:
-            break
-        # Images of prefixes are prefixes and every letter maps to at least
-        # one letter, so a truncated tail still feeds enough material.
-        cur = take_prefix(apply(h, cur), n - acc_len)
+        held += piece.length()
     return acc
 
 
@@ -130,40 +137,24 @@ def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
     return seq
 
 
-def _truncate_after_b(w: Word, nb: int) -> Word:
-    """Cut w immediately after its nb-th b."""
-    seen = 0
-    for idx, (letter, count) in enumerate(w.runs):
-        if letter != B:
-            continue
-        if seen + count >= nb:
-            return Word(w.runs[:idx] + ((B, nb - seen),))
-        seen += count
-    return w
-
-
-def _prefix_with_b_count(form: TriangularForm, nb: int) -> Word:
-    """A prefix of omega(h) containing exactly nb b's, by literal iteration."""
-    h = form.to_morphism()
-    u = Word(((B, 1),))
-    while u.occ(B) < nb:
-        u = _truncate_after_b(strip_leading(apply(h, u), A), nb)
-    return u
-
-
 def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
-    """Gap values read off an explicitly expanded prefix of omega(h)."""
+    """Gap values read off the literal expansion, piece by piece: with p >= 2
+    every piece holds a b, and the trailing padding of one piece and the
+    leading padding of the next make one gap.  The pieces end at the b's
+    numbered p, p^2, ..., so fewer than p * upto gaps are read."""
     _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    return list(b_image_shape(_prefix_with_b_count(form, upto + 1)).alphas)
-
-
-def gap_direct(form: TriangularForm, i: int) -> int:
-    """Number of a's between the i-th and (i+1)-th b, by literal expansion."""
-    if i < 1:
-        raise ValueError("i must be positive")
-    return gap_sequence_direct(form, i)[i - 1]
+    pieces = _pieces(form)
+    gaps: list[int] = []
+    pending = 0
+    while len(gaps) < upto:
+        shape = b_image_shape(next(pieces))
+        gaps.append(checked_add(pending, shape.gamma1))
+        gaps.extend(shape.alphas)
+        pending = shape.gamma2
+    del gaps[upto:]
+    return gaps
 
 
 def omega_eventually_periodic(form: TriangularForm) -> bool:

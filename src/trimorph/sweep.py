@@ -41,7 +41,8 @@ class SweepTooLarge(Exception):
 class SweepConfig:
     """Structural bounds: images of a up to a^max_s, b-counts up to max_p,
     a-paddings and interior gaps up to max_exp, b-free images up to
-    a^max_bonly_exp.  Negative bounds and parallel < 1 raise ValueError."""
+    a^max_bonly_exp.  Negative bounds and parallel < 1 raise ValueError,
+    and bounds that give more than MAX_PAIRS pairs raise SweepTooLarge."""
 
     max_s: int = 3
     max_p: int = 3
@@ -55,6 +56,8 @@ class SweepConfig:
             value = getattr(self, f.name)
             if value < least:
                 raise ValueError(f"{f.name} must be at least {least}, got {value}")
+        if self.pair_count() > MAX_PAIRS:
+            raise SweepTooLarge(f"the sweep bounds give more than {MAX_PAIRS} pairs, the sweep budget")
 
     def pair_count(self) -> int:
         """The ordered pairs the sweep evaluates, counted without enumerating:
@@ -194,12 +197,7 @@ def _worker(args: tuple[SweepConfig, int, int]):
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Sweep every ordered pair within the bounds, on at most os.cpu_count()
     worker processes (the result does not depend on the worker count).
-
-    Raises SweepTooLarge, before enumerating, when the bounds give more than
-    MAX_PAIRS pairs.
     """
-    if config.pair_count() > MAX_PAIRS:
-        raise SweepTooLarge(f"the sweep bounds give more than {MAX_PAIRS} pairs, the sweep budget")
     morphisms = enumerate_morphisms(config)
     n = len(morphisms)
     pairs = n * n

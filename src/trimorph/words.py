@@ -204,15 +204,13 @@ def take_prefix(w: Word, n: int) -> Word:
     """The first n letters of w (all of w when n >= |w|)."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    out: list[Run] = []
     remaining = n
-    for letter, count in w.runs:
-        if remaining == 0:
-            break
-        take = count if count <= remaining else remaining
-        out.append((letter, take))
-        remaining -= take
-    return Word(tuple(out))
+    for idx, (letter, count) in enumerate(w.runs):
+        if remaining <= count:
+            cut = ((letter, remaining),) if remaining else ()
+            return Word(w.runs[:idx] + cut)
+        remaining -= count
+    return w
 
 
 def strip_leading(w: Word, letter: str) -> Word:

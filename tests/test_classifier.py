@@ -262,6 +262,7 @@ def test_mult_dependent_huge_power_images_answer_at_once():
         # The gap at index 8 of g1^4(b) is 2^20 * (2^15)^3 = 2^65.
         ("a=" + "a" * 2**15 + ",b=b" + "a" * 2**20 + "b", "a=" + "a" * 2**15 + ",b=" + "b" * 16),
     ],
+    ids=["nb-2^72", "a-count-2^80", "gap-2^65"],
 )
 def test_mult_dependent_power_counts_beyond_64_bits_overflow(g1, g2):
     for pair in ((g1, g2), (g2, g1)):

@@ -6,6 +6,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,48 @@ def test_sweep_out_of_range_bounds_exit_two(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(sweep, "enumerate_morphisms", no_enumeration)
     code, out, err = run(capsys, "sweep", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("--max-s", "-1"), 2), (("--max-p", "30"), 3)],
+    ids=["negative-bound", "beyond-budget"],
+)
+def test_refused_sweep_leaves_output_alone(capsys, tmp_path, argv, code):
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"keep\n")
+    new = tmp_path / "new.jsonl"
+    for path in (kept, new):
+        assert run(capsys, "sweep", *argv, "--output", str(path))[0] == code
+    assert kept.read_bytes() == b"keep\n"
+    assert not new.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("omega", "a=aaa,b=babab", "--len", str(cli.MAX_OMEGA_LEN + 1)),
+            f"--len {cli.MAX_OMEGA_LEN + 1} exceeds the omega budget of {cli.MAX_OMEGA_LEN}",
+        ),
+        (
+            ("gaps", "a=aaa,b=babab", "--upto", str(cli.MAX_GAPS + 1)),
+            f"--upto {cli.MAX_GAPS + 1} exceeds the gaps budget of {cli.MAX_GAPS}",
+        ),
+        (
+            # Three b's: the expansion would read up to 3 * upto gaps.
+            ("gaps", "a=aaa,b=babab", "--direct", "--upto", str(cli.MAX_DIRECT_GAPS // 3 + 1)),
+            f"--upto {cli.MAX_DIRECT_GAPS // 3 + 1} with 3 b's in h(b) exceeds the direct "
+            f"gaps budget of {cli.MAX_DIRECT_GAPS} gaps read",
+        ),
+    ],
+    ids=["omega-len", "gaps-upto", "gaps-direct-upto"],
+)
+def test_expansion_beyond_budget_exits_three_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,7 +14,6 @@ from trimorph.omega import (
     OmegaUndefined,
     eventually_periodic_prefix,
     gap,
-    gap_direct,
     gap_sequence,
     gap_sequence_direct,
     omega_eventually_periodic,
@@ -52,6 +53,22 @@ def test_omega_undefined_when_tail_empty():
         omega_prefix(form("a=eps,b=bab"), 5)
 
 
+def test_empty_prefix_still_checks_the_form():
+    with pytest.raises(NotApplicable):
+        omega_prefix(form("a=eps,b=bab"), 0)
+    with pytest.raises(OmegaUndefined):
+        omega_prefix(form("a=a,b=ab"), 0)
+
+
+def test_single_b_prefix_answers_at_once():
+    # With one b in h(b) every piece is a power of a: omega(h) = b a^infinity.
+    start = time.perf_counter()
+    prefix = omega_prefix(form("a=a,b=ba"), 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert prefix.runs == (("b", 1), ("a", 10**7 - 1))
+    assert omega_prefix(form("a=aaa,b=abaa"), 1).runs == (("b", 1),)
+
+
 def test_gap_examples():
     f = form("a=a,b=babaab")  # s=1, gamma=0, alphas=(1, 2)
     assert gap(f, 1) == 1
@@ -62,10 +79,10 @@ def test_gap_examples():
 
 def test_gap_direct_examples():
     f = form("a=a,b=bb")
-    assert gap_direct(f, 17) == 0
+    assert gap_sequence_direct(f, 17)[16] == 0
     f2 = form("a=a,b=baaaaab")
-    assert gap_direct(f2, 7) == 5
-    assert gap(form("a=aa,b=abaaab"), 4) == gap_direct(form("a=aa,b=abaaab"), 4)
+    assert gap_sequence_direct(f2, 7)[6] == 5
+    assert gap(form("a=aa,b=abaaab"), 4) == gap_sequence_direct(form("a=aa,b=abaaab"), 4)[3]
 
 
 def test_gap_requires_two_bs():
@@ -89,6 +106,18 @@ def test_gap_overflow():
         gap(f, 2**150)
 
 
+def test_direct_gaps_stay_run_length():
+    # gap(8) = (2^20)^3 = 2^60: a letter-by-letter expansion could not hold it.
+    f = TriangularForm(2**20, Core(0, (1,), 0))
+    start = time.perf_counter()
+    assert gap_sequence_direct(f, 15) == gap_sequence(f, 15)
+    assert time.perf_counter() - start < 1.0
+    assert max(gap_sequence(f, 15)) == 2**60
+    for fn in (gap_sequence, gap_sequence_direct):
+        with pytest.raises(CountOverflow):
+            fn(f, 16)
+
+
 def test_gap_sequence_overflows_exactly_where_gap_does():
     # gap(6) = s gap(2) = 5 * 2^63 is the first gap past the 64-bit bound.
     f = TriangularForm(2**63, Core(0, (0, 5), 0))
@@ -100,7 +129,7 @@ def test_gap_sequence_overflows_exactly_where_gap_does():
 
 @given(gapped_forms(), st.integers(1, 300))
 def test_closed_form_matches_direct(f, i):
-    assert gap(f, i) == gap_direct(f, i)
+    assert gap(f, i) == gap_sequence_direct(f, i)[i - 1]
 
 
 @given(gapped_forms(), st.integers(0, 200))
