@@ -19,7 +19,7 @@ from dataclasses import fields
 from typing import Sequence
 
 from .classifier import SCHEMA_VERSION, classify, direct_commute, a_conjugates
-from .freeness import DEFAULT_DEPTH, SearchAborted, find_relation
+from .freeness import DEFAULT_DEPTH, SearchAborted, find_relation, relation_record
 from .morphisms import (
     NotUpperTriangular,
     format_morphism,
@@ -148,13 +148,8 @@ def _multdep(args) -> Results:
 
 def _free(args) -> Results:
     rel = find_relation(parse_morphism(args.g1), parse_morphism(args.g2), args.depth)
-    record = {"kind": "relation_search", "depth": args.depth, "found": rel is not None}
-    if rel is None:
-        return [(record, "none")], True
-    left = "".join(map(str, rel.left))
-    right = "".join(map(str, rel.right))
-    record.update(left=left, right=right)
-    return [(record, f"{left} = {right}")], True
+    record = relation_record(args.depth, rel)
+    return [(record, f"{record['left']} = {record['right']}" if rel else "none")], True
 
 
 def _sweep(args) -> Results:

@@ -5,25 +5,31 @@ left-to-right compositions coincide as morphisms.  find_relation explores
 all sequences of length 1..depth in breadth-first, lexicographic order and
 reports the first collision, so the witness is canonical.
 
-matrix_collision runs the same search on occurrence matrices only.  Taking
-the matrix is a monoid homomorphism, so distinct sequences composing to the
-same morphism force a matrix collision; a collision-free matrix search is a
-sound certificate that no morphism relation exists at that depth, while a
-matrix collision says nothing either way.  This makes it a cheap pre-filter
-for bulk freeness checks.
+Taking the occurrence matrix is a monoid homomorphism, so two sequences can
+compose to the same morphism only if their matrix products are equal.  The
+search walks the matrix products, one 2x2 integer product a sequence, and
+composes a sequence only when its matrix repeats an earlier one: a
+sequence with a new matrix cannot close a relation.  Equal matrices
+are only a candidate; the exact compositions decide, so the witness is the
+one a search composing every sequence would report.
+
+matrix_collision is the same walk without the composition step.  A
+collision-free matrix walk is a sound certificate that no morphism relation
+exists at that depth, while a matrix collision says nothing either way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
+from .classifier import SCHEMA_VERSION
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import CountOverflow
+from .words import MAX_COUNT, CountOverflow
 
 
 class SearchAborted(RuntimeError):
-    """A product overflowed the 64-bit word bound during the search, or the
-    requested depth is beyond MAX_DEPTH."""
+    """A composition of the search would overflow the 64-bit word bound (an
+    entry of its occurrence matrix passes MAX_COUNT), or the requested depth
+    is beyond MAX_DEPTH."""
 
     def __init__(self, depth: int, message: str | None = None):
         self.depth = depth
@@ -39,37 +45,75 @@ class Relation:
 
 
 DEFAULT_DEPTH = 6
-# The last level of the search holds 2^depth products.
+# The last level of the search holds 2^depth matrix products.
 MAX_DEPTH = 16
 
 
-def _first_collision(
-    gens: tuple, mul, depth: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Breadth-first, lexicographic search over products of gens.
+def _composition(seq: tuple[int, ...], gens: tuple, products: dict) -> BinaryMorphism:
+    """The left-to-right composition of seq, extended from its longest prefix
+    in products; every prefix composed on the way is kept there.  products
+    holds each generator under its one-letter sequence."""
+    k = len(seq)
+    while seq[:k] not in products:
+        k -= 1
+    value = products[seq[:k]]
+    for k in range(k, len(seq)):
+        value = compose(value, gens[seq[k] - 1])
+        products[seq[: k + 1]] = value
+    return value
 
-    Returns the first pair (earlier, later) of distinct sequences of length
-    <= depth whose left-to-right products under mul coincide, or None.
+
+def _first_collision(
+    g1: BinaryMorphism, g2: BinaryMorphism, depth: int, exact: bool
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Breadth-first, lexicographic walk over the sequences of length <= depth.
+
+    Returns the first pair (earlier, later) of distinct sequences whose
+    matrix products coincide and, when exact, whose compositions coincide
+    too; None when there is none.  An exact walk builds words with 64-bit
+    counts, so it aborts at the first sequence whose matrix holds an entry
+    beyond MAX_COUNT: no letter of that composition can be counted.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     if depth > MAX_DEPTH:
         raise SearchAborted(depth, f"depth {depth} exceeds the search budget of {MAX_DEPTH}")
-    seen: dict = {}
-    prefix: dict[tuple[int, ...], object] = {}
+    gens = (g1, g2)
+    steps = ((1, g1.rows), (2, g2.rows))
+    first: dict = {}  # matrix product -> first sequence with it
+    seen: dict = {}  # composition -> first sequence with it, for repeated matrices only
+    products: dict = {(1,): g1, (2,): g2}
+    # Each level lists the sequences of one length, in lexicographic order,
+    # with their matrix products; extending each in turn by 1 and by 2 keeps
+    # the next level in that order.
+    level: list = [((), ((1, 0), (0, 1)))]
     for length in range(1, depth + 1):
-        nxt: dict[tuple[int, ...], object] = {}
-        for seq in product((1, 2), repeat=length):
-            head = seq[:-1]
-            try:
-                value = mul(prefix[head], gens[seq[-1] - 1]) if head else gens[seq[-1] - 1]
-            except CountOverflow as exc:
-                raise SearchAborted(length) from exc
-            nxt[seq] = value
-            if value in seen:
-                return seen[value], seq
-            seen[value] = seq
-        prefix = nxt
+        nxt: list = []
+        for head, head_mat in level:
+            for index, rows in steps:
+                seq = head + (index,)
+                mat = mat_mul(head_mat, rows)
+                nxt.append((seq, mat))
+                if exact and max(mat[0] + mat[1]) > MAX_COUNT:
+                    raise SearchAborted(length)
+                earlier = first.setdefault(mat, seq)
+                if earlier is seq:
+                    continue
+                if not exact:
+                    return earlier, seq
+                # Equal compositions have equal matrices, so the first sequence
+                # of a matrix enters seen, once, when the matrix first repeats;
+                # None then marks the matrix as entered.
+                try:
+                    if earlier is not None:
+                        seen[_composition(earlier, gens, products)] = earlier
+                        first[mat] = None
+                    found = seen.setdefault(_composition(seq, gens, products), seq)
+                except CountOverflow as exc:
+                    raise SearchAborted(length) from exc
+                if found is not seq:
+                    return found, seq
+        level = nxt
     return None
 
 
@@ -77,23 +121,32 @@ def find_relation(
     g1: BinaryMorphism, g2: BinaryMorphism, depth: int = DEFAULT_DEPTH
 ) -> Relation | None:
     """First pair of distinct sequences of length <= depth composing equally."""
-    pair = _first_collision((g1, g2), compose, depth)
+    pair = _first_collision(g1, g2, depth, exact=True)
     return None if pair is None else Relation(*pair)
 
 
 def matrix_collision(g1: BinaryMorphism, g2: BinaryMorphism, depth: int) -> bool:
     """True iff two distinct sequences of length <= depth share a matrix product."""
-    return _first_collision((g1.rows, g2.rows), mat_mul, depth) is not None
+    return _first_collision(g1, g2, depth, exact=False) is not None
 
 
 def verify_relation(g1: BinaryMorphism, g2: BinaryMorphism, rel: Relation) -> bool:
     """Recompose both sides of a relation and compare."""
+    products = {(1,): g1, (2,): g2}
+    return _composition(rel.left, (g1, g2), products) == _composition(
+        rel.right, (g1, g2), products
+    )
 
-    def build(seq: tuple[int, ...]) -> BinaryMorphism:
-        gens = (g1, g2)
-        morph = gens[seq[0] - 1]
-        for k in seq[1:]:
-            morph = compose(morph, gens[k - 1])
-        return morph
 
-    return build(rel.left) == build(rel.right)
+def relation_record(depth: int, rel: Relation | None) -> dict:
+    """The `relation_search` record of a search to the given depth; the
+    sequences are written as digit strings, such as "12"."""
+    record = {
+        "schema": SCHEMA_VERSION,
+        "kind": "relation_search",
+        "depth": depth,
+        "found": rel is not None,
+    }
+    if rel is not None:
+        record.update(left="".join(map(str, rel.left)), right="".join(map(str, rel.right)))
+    return record

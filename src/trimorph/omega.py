@@ -57,22 +57,45 @@ def right_tail(form: TriangularForm) -> Word:
     return strip_quotient(head, form.image_b())
 
 
-def _pieces(form: TriangularForm) -> Iterator[Word]:
+def _head(w: Word, sizes: dict[str, int], n: int) -> Word:
+    """The shortest prefix of w whose image holds at least n letters, sizes
+    giving the length of each letter's image; all of w when there is none."""
+    for idx, (letter, count) in enumerate(w.runs):
+        size = sizes[letter]
+        if size * count >= n:
+            return Word(w.runs[:idx] + ((letter, -(-n // size)),))
+        n -= size * count
+    return w
+
+
+def _pieces(form: TriangularForm, limit: int | None = None) -> Iterator[Word]:
     """The pieces v, h(v), h^2(v), ... of omega(h), each computed only when
-    asked for; the form is checked at the call, not at the first piece."""
+    asked for; the form is checked at the call, not at the first piece.
+
+    With a limit, a piece is cut to a prefix holding its first limit letters.
+    A nonsingular h erases no letter, so the first limit letters of h(v) are
+    those of h(u) for the shortest prefix u of v with |h(u)| >= limit, and
+    only u is expanded.
+    """
     if not form.is_nonsingular():
         raise NotApplicable("omega needs a nonsingular form")
     tail = right_tail(form)
     if tail.is_empty():
         raise OmegaUndefined("h(b) = a^gamma1 b has an empty tail")
-    return accumulate(repeat(form.to_morphism()), lambda v, h: apply(h, v), initial=tail)
+    h = form.to_morphism()
+    sizes = {A: form.s, B: form.a_count + form.b_count}
+
+    def step(v: Word, _) -> Word:
+        return apply(h, v if limit is None else _head(v, sizes, limit))
+
+    return accumulate(repeat(None), step, initial=tail)
 
 
 def omega_prefix(form: TriangularForm, n: int) -> Word:
     """The first n letters of omega(h)."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    pieces = _pieces(form)
+    pieces = _pieces(form, n)
     if n == 0:
         return Word()
     if form.b_count == 1:

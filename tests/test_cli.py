@@ -351,6 +351,20 @@ def test_out_of_memory_exits_three():
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
+def test_omega_at_the_budget_fits_in_one_gib():
+    # h(v) holds 1,998,000 letters and h^2(v) about 4 * 10^9, in runs of one:
+    # only the part of h(v) whose image ends the prefix may be expanded.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    h = "a=a,b=" + "ba" * 999 + "b"
+    proc = run_module("omega", h, "--len", str(cli.MAX_OMEGA_LEN), preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    word = proc.stdout.removesuffix("\n")
+    assert len(word) == cli.MAX_OMEGA_LEN and set(word) == {"a", "b"}
+    assert word.startswith("b" + "ab" * 999 + "a" + "ba" * 999 + "b")
+
+
 def readme_transcript():
     """(argv, expected stdout) for each `$ trimorph ...` line of the README's
     command line block."""

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import morphisms, triangular_morphisms
 from trimorph.freeness import (
@@ -13,12 +16,49 @@ from trimorph.freeness import (
     verify_relation,
 )
 from trimorph.classifier import direct_commute
-from trimorph.morphisms import BinaryMorphism, parse_morphism
-from trimorph.words import Word
+from trimorph.morphisms import BinaryMorphism, compose, parse_morphism
+from trimorph.sweep import SweepConfig, enumerate_morphisms
+from trimorph.words import CountOverflow, Word
 
 
 def m(text):
     return parse_morphism(text)
+
+
+def materialised_relation(g1, g2, depth):
+    """Reference for find_relation: the breadth-first, lexicographic search
+    that composes every sequence and keeps no matrices."""
+    gens = (g1, g2)
+    seen: dict = {}
+    prefix: dict = {}
+    for length in range(1, depth + 1):
+        nxt: dict = {}
+        for seq in product((1, 2), repeat=length):
+            head = seq[:-1]
+            try:
+                value = compose(prefix[head], gens[seq[-1] - 1]) if head else gens[seq[-1] - 1]
+            except CountOverflow as exc:
+                raise SearchAborted(length) from exc
+            nxt[seq] = value
+            if value in seen:
+                return Relation(seen[value], seq)
+            seen[value] = seq
+        prefix = nxt
+    return None
+
+
+def outcome(search, g1, g2, depth):
+    """The search's relation or None, or the depth at which it aborted."""
+    try:
+        return search(g1, g2, depth)
+    except SearchAborted as exc:
+        return ("aborted", exc.depth)
+
+
+def assert_matches_reference(g1, g2, depth):
+    assert outcome(find_relation, g1, g2, depth) == outcome(
+        materialised_relation, g1, g2, depth
+    )
 
 
 def test_identical_generators_relate_at_depth_one():
@@ -91,3 +131,34 @@ def test_witness_is_first_in_breadth_lex_order():
     g1 = m("a=a,b=b")
     g2 = m("a=a,b=bb")
     assert find_relation(g1, g2, 2) == Relation((1,), (1, 1))
+
+
+@given(morphisms(4), morphisms(4), st.integers(1, 6))
+@settings(max_examples=300)
+def test_search_matches_materialised_reference(g1, g2, depth):
+    assert_matches_reference(g1, g2, depth)
+
+
+# Counts past the 64-bit bound, a^(2^33) squared or b^(2^31) cubed, with
+# partners whose compositions stay a few runs long.
+A_HUGE = BinaryMorphism(Word.single("a", 2**33), Word.parse("b"))
+B_HUGE = BinaryMorphism(Word.parse("a"), Word.single("b", 2**31))
+HUGE_PAIRS = (
+    (A_HUGE, m("a=a,b=ab")),
+    (A_HUGE, m("a=aa,b=bab")),
+    (B_HUGE, m("a=aa,b=b")),
+    (B_HUGE, m("a=ab,b=bb")),
+)
+
+
+def test_search_matches_reference_on_a_small_sweep():
+    morphs = enumerate_morphisms(SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=1))
+    for g1 in morphs:
+        for g2 in morphs:
+            assert_matches_reference(g1, g2, 4)
+    aborted = 0
+    for pair in HUGE_PAIRS:
+        for g1, g2 in (pair, pair[::-1]):
+            assert_matches_reference(g1, g2, 4)
+            aborted += isinstance(outcome(find_relation, g1, g2, 4), tuple)
+    assert aborted == 6

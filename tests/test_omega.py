@@ -166,6 +166,15 @@ def test_omega_prefix_consistent_with_string_iteration(f, k):
     assert omega_prefix(f, len(img)).to_text() == img
 
 
+def test_omega_prefix_matches_string_expansion_across_pieces():
+    # h^5(b) is a prefix of omega(h) here; the lengths cut the pieces b, v,
+    # h(v), ... inside and at their ends, which expand only as far as needed.
+    f = form("a=a,b=" + "ba" * 9 + "b")
+    text = npower(("a", "ba" * 9 + "b"), 5)[1]
+    for n in (1, 2, 19, 20, 198, 199, 200, 3_619, 3_620, 5_000, 65_000, len(text)):
+        assert omega_prefix(f, n).to_text() == text[:n]
+
+
 @given(gapped_forms(max_s=2, max_p=3, max_exp=2), st.integers(1, 50), st.integers(0, 60))
 def test_omega_prefix_monotone(f, n, extra):
     small = omega_prefix(f, n).to_text()
