@@ -9,14 +9,10 @@ from .words import (
     EMPTY,
     MAX_COUNT,
     CountOverflow,
-    NotAPrefix,
     ParseError,
     Word,
     b_core,
     concat,
-    is_prefix,
-    repeat,
-    strip_quotient,
     take_prefix,
     words_commute,
 )

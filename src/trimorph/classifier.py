@@ -101,13 +101,6 @@ class CommutationReport:
         }
 
 
-def _uniform_gap(shape: Core) -> int | None:
-    """The shared interior gap of (b a^alpha)^(p-1) b, or None if not of that shape."""
-    if shape.gamma1 or shape.gamma2 or len(set(shape.alphas)) != 1:
-        return None
-    return shape.alphas[0]
-
-
 def _match_block_powers(su: Core, sv: Core) -> dict | None:
     """Match u = (a^alpha b a^beta)^i and v = (b a^(alpha+beta))^j b, given
     the b-image shapes su of u and sv of v.
@@ -231,8 +224,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
 
     dep = mult_dependence(p, q)
     if not isinstance(dep, Dependent):
-        gap1 = _uniform_gap(c1)
-        gap2 = _uniform_gap(c2)
+        gap1, gap2 = c1.uniform_gap, c2.uniform_gap
         uniform = s == 1 and t == 1 and gap1 is not None and gap1 == gap2
         conditions = {"both_b_powers": both_b_powers, "uniform_blocks_same_gap": uniform}
         witness = {"alpha": gap1} if uniform else None

@@ -44,9 +44,6 @@ class BinaryMorphism:
     image_a: Word
     image_b: Word
 
-    def image(self, letter: str) -> Word:
-        return self.image_a if letter == A else self.image_b
-
     @cached_property
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The rows of the occurrence matrix (see MorphMatrix), computed once
@@ -165,6 +162,13 @@ class Core:
     def p(self) -> int:
         return len(self.alphas) + 1
 
+    @property
+    def uniform_gap(self) -> int | None:
+        """The shared interior gap of (b a^alpha)^(p-1) b, or None if not of that shape."""
+        if self.gamma1 or self.gamma2 or len(set(self.alphas)) != 1:
+            return None
+        return self.alphas[0]
+
 
 def b_image_shape(w: Word) -> BOnly | Core:
     """Decompose a word as an upper triangular image of b."""
@@ -219,11 +223,8 @@ class TriangularForm:
     def is_nonsingular(self) -> bool:
         return self.s >= 1 and isinstance(self.bpart, Core)
 
-    def image_b(self) -> Word:
-        return shape_to_word(self.bpart)
-
     def to_morphism(self) -> BinaryMorphism:
-        return BinaryMorphism(Word.single(A, self.s), self.image_b())
+        return BinaryMorphism(Word.single(A, self.s), shape_to_word(self.bpart))
 
 
 IDENTITY_FORM = TriangularForm(1, Core(0, (), 0))

@@ -73,14 +73,14 @@ def integer_root(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = int(n ** (1.0 / k))
-    if x < 1:
-        x = 1
-    while x > 1 and x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    # Integer Newton from above: 2^ceil(bits/k) exceeds the root, and the
+    # iterates fall strictly until they reach the floor.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def primitive_root(n: int) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 from typing import Iterator
 
-from .morphisms import Core, TriangularForm, apply, b_image_shape
+from .morphisms import Core, TriangularForm, apply, b_image_shape, shape_to_word
 from .numtheory import val_and_digit
 from .words import (
     A,
@@ -36,7 +36,6 @@ from .words import (
     Word,
     checked_add,
     concat,
-    strip_quotient,
     take_prefix,
 )
 
@@ -50,11 +49,14 @@ class OmegaUndefined(ValueError):
 
 
 def right_tail(form: TriangularForm) -> Word:
-    """The word v with h(b) = a^gamma1 b v."""
-    if not isinstance(form.bpart, Core):
+    """The word v with h(b) = a^gamma1 b v, read off the form: v is
+    a^alpha1 b ... a^alpha(p-1) b a^gamma2."""
+    core = form.bpart
+    if not isinstance(core, Core):
         raise NotApplicable("image of b is b-free")
-    head = Word.from_runs(((A, form.bpart.gamma1), (B, 1)))
-    return strip_quotient(head, form.image_b())
+    if core.p == 1:
+        return Word.single(A, core.gamma2)
+    return shape_to_word(Core(core.alphas[0], core.alphas[1:], core.gamma2))
 
 
 def _head(w: Word, sizes: dict[str, int], n: int) -> Word:
@@ -185,10 +187,8 @@ def omega_eventually_periodic(form: TriangularForm) -> bool:
     shared gap not subject to scaling (a positive gap recurs multiplied by
     s^m at indexes divisible by p^m, so it stays bounded only when s is 1).
     """
-    core = _require_gapped(form)
-    if core.gamma1 or core.gamma2 or len(set(core.alphas)) != 1:
-        return False
-    return form.s == 1 or core.alphas[0] == 0
+    alpha = _require_gapped(form).uniform_gap
+    return alpha is not None and (form.s == 1 or alpha == 0)
 
 
 def eventually_periodic_prefix(text: str, max_period: int = 200, preperiod: int = 1000) -> bool:

@@ -116,10 +116,9 @@ class SweepResult:
             "schema": SCHEMA_VERSION,
             "kind": "sweep_summary",
             "bounds": {
-                "max_s": self.config.max_s,
-                "max_p": self.config.max_p,
-                "max_exp": self.config.max_exp,
-                "max_bonly_exp": self.config.max_bonly_exp,
+                f.name: getattr(self.config, f.name)
+                for f in fields(SweepConfig)
+                if f.name != "parallel"
             },
             "morphisms": self.morphisms,
             "pairs": self.pairs,

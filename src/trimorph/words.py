@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterable
 
 A = "a"
 B = "b"
@@ -23,10 +23,6 @@ Run = tuple[str, int]
 
 class CountOverflow(OverflowError):
     """A run count or word length left the 64-bit range."""
-
-
-class NotAPrefix(ValueError):
-    """strip_quotient was asked to remove a non-prefix."""
 
 
 class ParseError(ValueError):
@@ -128,11 +124,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.runs
 
-    def letters(self) -> Iterator[str]:
-        for letter, count in self.runs:
-            for _ in range(count):
-                yield letter
-
 
 EMPTY = Word()
 WORD_A = Word(((A, 1),))
@@ -148,56 +139,6 @@ def concat(u: Word, v: Word) -> Word:
     push_run(out, *v.runs[0])
     out.extend(v.runs[1:])
     return Word(tuple(out))
-
-
-def repeat(u: Word, k: int) -> Word:
-    """The word u^k."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if k == 0 or not u.runs:
-        return EMPTY
-    if k == 1:
-        return u
-    if len(u.runs) == 1:
-        letter, count = u.runs[0]
-        return Word(((letter, checked_mul(count, k)),))
-    out: list[Run] = []
-    for _ in range(k):
-        for letter, count in u.runs:
-            push_run(out, letter, count)
-    return Word(tuple(out))
-
-
-def _quotient_runs(u: Word, w: Word) -> tuple[Run, ...] | None:
-    """The runs of the word x with w = u x, or None when u is not a prefix of w."""
-    if not u.runs:
-        return w.runs
-    if len(u.runs) > len(w.runs):
-        return None
-    head = len(u.runs) - 1
-    for i in range(head):
-        if u.runs[i] != w.runs[i]:
-            return None
-    ul, uc = u.runs[head]
-    wl, wc = w.runs[head]
-    if ul != wl or uc > wc:
-        return None
-    rest = w.runs[head + 1 :]
-    if uc < wc:
-        return ((wl, wc - uc),) + rest
-    return rest
-
-
-def is_prefix(u: Word, w: Word) -> bool:
-    return _quotient_runs(u, w) is not None
-
-
-def strip_quotient(u: Word, w: Word) -> Word:
-    """The word x with w = u x; raises NotAPrefix when u is not a prefix of w."""
-    rest = _quotient_runs(u, w)
-    if rest is None:
-        raise NotAPrefix(f"{u!r} is not a prefix of {w!r}")
-    return Word(rest)
 
 
 def take_prefix(w: Word, n: int) -> Word:

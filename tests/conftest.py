@@ -37,10 +37,10 @@ def npower(g: tuple[str, str], n: int) -> tuple[str, str]:
 
 
 def as_strings(g: BinaryMorphism) -> tuple[str, str]:
-    return (
-        "".join(g.image_a.letters()),
-        "".join(g.image_b.letters()),
-    )
+    def text(w: Word) -> str:
+        return "".join(letter * count for letter, count in w.runs)
+
+    return text(g.image_a), text(g.image_b)
 
 
 # --- strategies

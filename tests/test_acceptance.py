@@ -17,10 +17,12 @@ from trimorph.classifier import CASES, classify, direct_commute
 from trimorph.cli import EXAMPLE_PAIRS
 from trimorph.freeness import find_relation, matrix_collision
 from trimorph.morphisms import (
+    BinaryMorphism,
     Core,
     TriangularForm,
     is_nonsingular,
     is_special_pair,
+    mat_mul,
     parse_morphism,
     power,
     to_triangular,
@@ -34,8 +36,8 @@ from trimorph.omega import (
     omega_prefix,
     right_tail,
 )
-from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep
-from trimorph.words import A, strip_leading
+from trimorph.sweep import SweepConfig, enumerate_b_images, enumerate_morphisms, run_sweep
+from trimorph.words import A, B, Word, strip_leading
 
 # Every structural condition must fire on at least one pair of the
 # default sweep, or the sweep space is too small to witness it.
@@ -145,6 +147,44 @@ def test_criterion_2_case_and_condition_coverage(default_sweep):
         f"all {len(CASES)} cases reached and all {len(REQUIRED_TRUE_CONDITIONS)} "
         "structural conditions witnessed",
     )
+
+
+def _rung(b_count: int, s_values: tuple[int, ...], max_exp: int) -> list[BinaryMorphism]:
+    """The morphisms a -> a^s, s in s_values, whose image of b holds exactly
+    b_count b's, with paddings and gaps up to max_exp."""
+    return [
+        BinaryMorphism(Word.single(A, s), image_b)
+        for s in s_values
+        for image_b in enumerate_b_images(b_count, max_exp, 0)
+        if image_b.occ(B) == b_count
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, q, s_values, max_exp, pairs, commuting",
+    [(2, 4, (1, 2, 4), 2, 118_098, 54), (2, 8, (1, 2), 1, 32_768, 10)],
+    ids=["rungs-2-4", "rungs-2-8"],
+)
+def test_dependent_rungs_match_oracle(p, q, s_values, max_exp, pairs, commuting):
+    # The default sweep has p = q on every MultDependent pair, so m = n = 1.
+    # Pairs across the rungs p = r^m and q = r^n reach mn > 1: the gap
+    # classes of _gaps_agree with k >= 1 and the power counts with k > 1.
+    low, high = _rung(p, s_values, max_exp), _rung(q, s_values, max_exp)
+    seen = commuted = 0
+    witnessed: set[str] = set()
+    for g, h in product(low, high):
+        for g1, g2 in ((g, h), (h, g)):
+            report = classify(g1, g2)
+            assert report.case == "MultDependent"
+            m1, m2 = g1.rows, g2.rows
+            actual = mat_mul(m1, m2) == mat_mul(m2, m1) and direct_commute(g1, g2)
+            assert report.prediction == actual, (g1, g2, report)
+            seen += 1
+            commuted += actual
+            if report.witness["m"] * report.witness["n"] > 1:
+                witnessed.update(name for name, value in report.conditions.items() if value)
+    assert (seen, commuted) == (pairs, commuting)
+    assert witnessed == {"equal_powers", "both_b_powers", "power_images_a_conjugate"}
 
 
 def test_criterion_3_gap_closed_form():

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from trimorph.numtheory import (
@@ -66,6 +66,14 @@ def test_exhaustive_small():
 
 @given(st.integers(2, 10**9), st.integers(1, 6))
 def test_root_then_power_brackets(n, k):
+    r = integer_root(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+@given(st.integers(2, 2**2000), st.integers(1, 40))
+@example(10**400, 3)
+@example(10**400 - 1, 7)
+def test_root_brackets_far_past_float_range(n, k):
     r = integer_root(n, k)
     assert r**k <= n < (r + 1) ** k
 

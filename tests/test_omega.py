@@ -31,6 +31,7 @@ def test_right_tail_examples():
     assert right_tail(form("a=a,b=abab")).to_text() == "ab"
     assert right_tail(form("a=a,b=b")).to_text() == "eps"
     assert right_tail(form("a=a,b=baa")).to_text() == "aa"
+    assert right_tail(form("a=a,b=aabaabbaaa")).to_text() == "aabbaaa"
     with pytest.raises(NotApplicable):
         right_tail(form("a=a,b=aa"))
 

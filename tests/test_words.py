@@ -9,15 +9,11 @@ from trimorph.words import (
     EMPTY,
     MAX_COUNT,
     CountOverflow,
-    NotAPrefix,
     ParseError,
     Word,
     b_core,
     concat,
-    is_prefix,
-    repeat,
     strip_leading,
-    strip_quotient,
     take_prefix,
     words_commute,
 )
@@ -31,13 +27,6 @@ def test_concat_examples():
     assert concat(w("ab"), w("ba")) == w("abba")
     assert concat(w("a"), EMPTY) == w("a")
     assert concat(w("aa"), w("aa")) == w("aaaa")
-
-
-def test_strip_quotient_examples():
-    assert strip_quotient(w("ab"), w("abba")) == w("ba")
-    assert strip_quotient(EMPTY, w("ab")) == w("ab")
-    with pytest.raises(NotAPrefix):
-        strip_quotient(w("b"), w("ab"))
 
 
 def test_b_core_examples():
@@ -73,11 +62,6 @@ def test_overflow_on_concat():
     assert concat(big, w("b")).occ("b") == 1
 
 
-def test_overflow_on_repeat():
-    with pytest.raises(CountOverflow):
-        repeat(Word.single("a", MAX_COUNT // 2 + 1), 2)
-
-
 @given(word_texts(), word_texts())
 def test_concat_matches_strings(t1, t2):
     assert concat(w(t1), w(t2)) == w(t1 + t2)
@@ -92,16 +76,6 @@ def test_text_roundtrip(t):
     assert word.occ("b") == t.count("b")
 
 
-@given(word_texts(), word_texts())
-def test_strip_quotient_inverts_concat(t1, t2):
-    assert strip_quotient(w(t1), w(t1 + t2)) == w(t2)
-
-
-@given(word_texts(), word_texts())
-def test_is_prefix_matches_strings(t1, t2):
-    assert is_prefix(w(t1), w(t2)) == t2.startswith(t1)
-
-
 @given(word_texts(30), st.integers(0, 35))
 def test_take_prefix_matches_strings(t, n):
     assert take_prefix(w(t), n) == w(t[:n])
@@ -110,11 +84,6 @@ def test_take_prefix_matches_strings(t, n):
 @given(word_texts(30))
 def test_strip_leading_matches_strings(t):
     assert strip_leading(w(t), "a") == w(t.lstrip("a"))
-
-
-@given(word_texts(12), st.integers(0, 5))
-def test_repeat_matches_strings(t, k):
-    assert repeat(w(t), k) == w(t * k)
 
 
 @given(word_texts(20))
@@ -132,7 +101,7 @@ def test_b_core_roundtrip(t):
 
 @given(word_texts(10), st.integers(1, 4), st.integers(1, 4))
 def test_powers_of_common_root_commute(t, i, j):
-    u, v = repeat(w(t), i), repeat(w(t), j)
+    u, v = w(t * i), w(t * j)
     assert words_commute(u, v)
 
 
