@@ -6,11 +6,11 @@ images are read only to test whether two erasing morphisms' b-images
 commute as words.  It routes every ordered pair into exactly one case,
 evaluates that case's full list of structural conditions without
 short-circuiting, and predicts commutation as their disjunction.
-direct_commute() is the independent oracle: it composes both ways and
-compares images, with no structural reasoning at all.  The two must agree
-on every upper triangular pair; the sweep harness checks that
-exhaustively, composing only the pairs whose occurrence matrices commute
-(a pair whose matrices do not commute cannot commute).
+direct_commute() is the independent oracle: it compares the images of a,
+then of b, under both composition orders, with no structural reasoning.
+The two must agree on every upper triangular pair; the sweep harness
+checks that exhaustively, composing only the pairs whose occurrence
+matrices commute (a pair whose matrices do not commute cannot commute).
 
 Cases, after normalizing roles (swapped records whether the inputs traded
 places):
@@ -38,9 +38,8 @@ from .morphisms import (
     Core,
     IDENTITY_FORM,
     TriangularForm,
-    compose,
+    apply,
     shape_to_word,
-    to_triangular,
 )
 from .numtheory import Dependent, mult_dependence
 from .omega import gap, gap_sequence, geometric
@@ -66,8 +65,11 @@ SCHEMA_VERSION = 1
 
 
 def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
-    """Brute-force oracle: g1 g2 = g2 g1 as morphisms."""
-    return compose(g1, g2) == compose(g2, g1)
+    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
+    composed images of a first, then those of b."""
+    return apply(g1, g2.image_a) == apply(g2, g1.image_a) and (
+        apply(g1, g2.image_b) == apply(g2, g1.image_b)
+    )
 
 
 def a_conjugates(u: Word, v: Word) -> bool:
@@ -123,15 +125,19 @@ def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
     Raises CountOverflow when one of these or the largest interior gap of
     g^k(b) exceeds the 64-bit bound.  Gaps grow with the p-adic valuation
     of their index, so that gap sits at p^(k-1) d, d the position of the
-    largest interior gap of g(b).
+    largest interior gap of g(b).  Memoised on the form; an overflow is
+    not kept, so it is raised again on every call.
     """
-    core = form.bpart
-    assert isinstance(core, Core)
-    gap(form, core.p ** (k - 1) * (core.alphas.index(max(core.alphas)) + 1))
-    factor = geometric(form.s, k)
-    counts = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
-    if max(counts) > MAX_COUNT:
-        raise CountOverflow(f"count {max(counts)} exceeds 64-bit bound")
+    counts = form.power_counts.get(k)
+    if counts is None:
+        core = form.bpart
+        assert isinstance(core, Core)
+        gap(form, core.p ** (k - 1) * (core.alphas.index(max(core.alphas)) + 1))
+        factor = geometric(form.s, k)
+        counts = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
+        if max(counts) > MAX_COUNT:
+            raise CountOverflow(f"count {max(counts)} exceeds 64-bit bound")
+        form.power_counts[k] = counts
     return counts
 
 
@@ -167,8 +173,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
 
     Raises NotUpperTriangular when either image of a contains b.
     """
-    f1 = to_triangular(g1)
-    f2 = to_triangular(g2)
+    f1, f2 = g1.form, g2.form
     both_b_powers = f1.a_count == 0 and f2.a_count == 0
 
     # Normalize roles once: a b-free image of b first, else an empty image

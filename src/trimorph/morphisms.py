@@ -158,7 +158,7 @@ class Core:
     alphas: tuple[int, ...]
     gamma2: int
 
-    @property
+    @cached_property
     def p(self) -> int:
         return len(self.alphas) + 1
 
@@ -210,15 +210,20 @@ class TriangularForm:
     s: int
     bpart: BOnly | Core
 
-    @property
+    @cached_property
     def b_count(self) -> int:
         return self.bpart.p if isinstance(self.bpart, Core) else 0
 
-    @property
+    @cached_property
     def a_count(self) -> int:
         """Occurrences of a in the image of b."""
         part = self.bpart
         return part.e if isinstance(part, BOnly) else part.gamma1 + sum(part.alphas) + part.gamma2
+
+    @cached_property
+    def power_counts(self) -> dict[int, tuple[int, int, int]]:
+        """The outer counts of g^k by k, as classifier._power_counts computes them."""
+        return {}
 
     def is_nonsingular(self) -> bool:
         return self.s >= 1 and isinstance(self.bpart, Core)

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import triangular_morphisms, words
+from conftest import gapped_forms, morphisms, triangular_morphisms, words
 from trimorph.classifier import (
     CASE_BOTH_GAP_ONE,
     CASE_GAP_ONE_VS_MANY,
@@ -14,6 +14,7 @@ from trimorph.classifier import (
     CASE_MULT_INDEPENDENT,
     CASE_SINGULAR_A_IMAGE,
     CASE_SINGULAR_B_IMAGE,
+    _power_counts,
     a_conjugates,
     classify,
     direct_commute,
@@ -22,6 +23,8 @@ from trimorph.morphisms import (
     BinaryMorphism,
     Core,
     NotUpperTriangular,
+    TriangularForm,
+    compose,
     parse_morphism,
     power,
     shape_to_word,
@@ -36,10 +39,20 @@ def m(text):
     return parse_morphism(text)
 
 
+@given(morphisms(), morphisms(), st.integers(0, 2), st.booleans())
+def test_direct_commute_equals_composition(g1, h, k, related):
+    # General morphisms, non-triangular and erasing ones included; powers of
+    # one morphism make commuting pairs.
+    g2 = power(g1, k) if related else h
+    assert direct_commute(g1, g2) == (compose(g1, g2) == compose(g2, g1))
+
+
 def test_direct_commute_examples():
     assert direct_commute(m("a=a,b=bb"), m("a=aa,b=b"))
     assert not direct_commute(m("a=a,b=ab"), m("a=a,b=abb"))
     assert direct_commute(m("a=ab,b=ba"), m("a=ab,b=ba"))  # non-triangular is fine
+    # Both composed images of b are empty, but those of a are eps and b.
+    assert not direct_commute(m("a=ab,b=eps"), m("a=b,b=eps"))
 
 
 def test_a_conjugates_examples():
@@ -268,3 +281,45 @@ def test_mult_dependent_power_counts_beyond_64_bits_overflow(g1, g2):
     for pair in ((g1, g2), (g2, g1)):
         with pytest.raises(CountOverflow):
             classify(*map(m, pair))
+
+
+def literal_power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
+    """|g^k(a)| and the outer a-paddings of g^k(b), from the composed power."""
+    gk = power(form.to_morphism(), k)
+    lead, _, trail = b_core(gk.image_b)
+    return gk.image_a.length(), lead, trail
+
+
+def assert_power_counts(form: TriangularForm, k: int) -> None:
+    expected = literal_power_counts(form, k)
+    assert _power_counts(form, k) == expected
+    assert form.power_counts[k] == expected
+    assert _power_counts(form, k) == expected  # read from the memo
+
+
+def test_memoised_power_counts_match_literal_powers_on_the_default_sweep():
+    for g in enumerate_morphisms(SweepConfig()):
+        if g.form.is_nonsingular() and g.form.b_count >= 2:
+            for k in (1, 2, 3):
+                assert_power_counts(g.form, k)
+
+
+@given(gapped_forms(), st.integers(1, 4))
+def test_memoised_power_counts_match_literal_powers(form, k):
+    assert_power_counts(form, k)
+
+
+@pytest.mark.parametrize(
+    "form, k",
+    [
+        (TriangularForm(2**20, Core(0, (1,), 0)), 4),  # g^4(a) = a^(2^80)
+        (TriangularForm(2**15, Core(0, (2**20,), 0)), 4),  # a gap of 2^65
+        (TriangularForm(1, Core(2**63, (0,), 0)), 2),  # leading padding 2^64
+    ],
+    ids=["a-count-2^80", "gap-2^65", "padding-2^64"],
+)
+def test_power_count_overflow_is_raised_on_every_call(form, k):
+    for _ in range(2):
+        with pytest.raises(CountOverflow):
+            _power_counts(form, k)
+    assert k not in form.power_counts

@@ -337,6 +337,24 @@ def test_module_entry_point_runs_main():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only a parallel sweep needs multiprocessing; every other call skips
+    # importing it.
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, trimorph.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_out_of_memory_exits_three():
     # check composes both ways: each composite b-image holds 20001 * 20002
     # b's in runs of one, which a 1 GiB address-space limit (set in the

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import as_strings, morphisms, napply, ncompose, npower, triangular_morphisms, word_texts
+from conftest import (
+    as_strings,
+    gapped_forms,
+    morphisms,
+    napply,
+    ncompose,
+    npower,
+    triangular_morphisms,
+    word_texts,
+)
 from trimorph.classifier import direct_commute
 from trimorph.morphisms import (
     BinaryMorphism,
@@ -24,6 +33,7 @@ from trimorph.morphisms import (
     power,
     to_triangular,
 )
+from trimorph.sweep import SweepConfig, enumerate_morphisms
 from trimorph.words import CountOverflow, ParseError, Word
 
 
@@ -159,6 +169,31 @@ def test_triangular_roundtrip(g):
     form = to_triangular(g)
     assert form.to_morphism() == g
     assert form.is_nonsingular() == is_nonsingular(g)
+
+
+def assert_cached_invariants(form: TriangularForm, image_b: Word) -> None:
+    counts = (image_b.occ("a"), image_b.occ("b"))
+    assert (form.a_count, form.b_count) == counts
+    if isinstance(form.bpart, Core):
+        assert form.bpart.p == len(form.bpart.alphas) + 1
+    # The second read comes from the values cached on the form.
+    assert {"a_count", "b_count"} <= vars(form).keys()
+    assert (form.a_count, form.b_count) == counts
+
+
+def test_cached_invariants_on_the_default_sweep():
+    for g in enumerate_morphisms(SweepConfig()):
+        assert_cached_invariants(g.form, g.image_b)
+
+
+@given(triangular_morphisms())
+def test_cached_invariants_match_the_image_of_b(g):
+    assert_cached_invariants(g.form, g.image_b)
+
+
+@given(gapped_forms())
+def test_cached_invariants_of_gapped_forms(form):
+    assert_cached_invariants(form, form.to_morphism().image_b)
 
 
 @given(triangular_morphisms(max_s=2, max_image=4), st.integers(1, 4))

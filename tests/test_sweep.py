@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from trimorph import sweep
 from trimorph.classifier import direct_commute
-from trimorph.morphisms import format_morphism, is_nonsingular, matrix
+from trimorph.morphisms import compose, format_morphism, is_nonsingular, matrix
 from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep, sweep_range
 
 TINY = SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=2)
@@ -49,6 +50,14 @@ def test_sweep_agrees_with_direct_oracle_on_counts():
     mats = [matrix(g) for g in morphs]
     assert result.screened == sum(m1 @ m2 != m2 @ m1 for m1 in mats for m2 in mats)
     assert 0 < result.screened < result.pairs - result.commuting
+
+
+def test_direct_commute_equals_composition_on_every_tiny_pair():
+    # Composing both ways and comparing the morphisms stays the reference.
+    morphs = enumerate_morphisms(TINY)
+    for g1 in morphs:
+        for g2 in morphs:
+            assert direct_commute(g1, g2) == (compose(g1, g2) == compose(g2, g1))
 
 
 def test_screened_pairs_still_report_mismatches(monkeypatch):
@@ -113,7 +122,7 @@ def test_parallel_workers_are_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 3)
     result = run_sweep(dataclasses.replace(TINY, parallel=100_000))
     assert started == [3]
