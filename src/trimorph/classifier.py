@@ -9,8 +9,9 @@ short-circuiting, and predicts commutation as their disjunction.
 direct_commute() is the independent oracle: it compares the images of a,
 then of b, under both composition orders, with no structural reasoning.
 The two must agree on every upper triangular pair; the sweep harness
-checks that exhaustively, composing only the pairs whose occurrence
-matrices commute (a pair whose matrices do not commute cannot commute).
+checks that exhaustively, running the oracle only on the pairs whose
+occurrence matrices commute (a pair whose matrices do not commute cannot
+commute).
 
 Cases, after normalizing roles (swapped records whether the inputs traded
 places):
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 
 from .morphisms import (
     BinaryMorphism,
-    BOnly,
     Core,
     IDENTITY_FORM,
     TriangularForm,
@@ -83,7 +83,7 @@ def a_conjugates(u: Word, v: Word) -> bool:
     return core_u == core_v and lead_u + trail_u == lead_v + trail_v
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommutationReport:
     case: str
     swapped: bool
@@ -177,19 +177,14 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     both_b_powers = f1.a_count == 0 and f2.a_count == 0
 
     # Normalize roles once: a b-free image of b first, else an empty image
-    # of a first, else the smaller b-count first.
-    if isinstance(f1.bpart, BOnly) or isinstance(f2.bpart, BOnly):
-        swapped = not isinstance(f1.bpart, BOnly)
-    elif f1.s == 0 or f2.s == 0:
-        swapped = f1.s != 0
-    else:
-        swapped = f1.b_count > f2.b_count
+    # of a first, else the smaller b-count first; ties keep their order.
+    swapped = f1.rank > f2.rank
     if swapped:
         f1, f2 = f2, f1
     c1, c2 = f1.bpart, f2.bpart
     s, t = f1.s, f2.s
 
-    if isinstance(c1, BOnly):
+    if f1.rank == 0:
         # |g1 g2 (b)| against |g2 g1 (b)|.
         lhs = s * f2.a_count + c1.e * f2.b_count
         rhs = t * c1.e
@@ -200,7 +195,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
             {"composed_b_image_lengths": [lhs, rhs]},
         )
 
-    assert isinstance(c2, Core)
+    # f2.rank >= f1.rank >= 1, so both images of b hold a b.
     if s == 0:
         block = _match_block_powers(c1, c2) if t == 1 else None
         conditions = {

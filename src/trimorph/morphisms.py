@@ -221,6 +221,14 @@ class TriangularForm:
         return part.e if isinstance(part, BOnly) else part.gamma1 + sum(part.alphas) + part.gamma2
 
     @cached_property
+    def rank(self) -> int:
+        """The form's place in classify's role order: 0 for a b-free image
+        of b, 1 for an empty image of a, otherwise 1 + p."""
+        if isinstance(self.bpart, BOnly):
+            return 0
+        return 1 if self.s == 0 else 1 + self.bpart.p
+
+    @cached_property
     def power_counts(self) -> dict[int, tuple[int, int, int]]:
         """The outer counts of g^k by k, as classifier._power_counts computes them."""
         return {}

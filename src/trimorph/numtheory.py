@@ -121,9 +121,10 @@ def primitive_root(n: int) -> tuple[int, int]:
 def mult_dependence(p: int, q: int) -> MultDependence:
     """Decide whether p and q are powers of a common integer.
 
-    Dependent(r, m, n) satisfies p = r^m, q = r^n with gcd(m, n) = 1 and r
-    maximal in the sense that it is the smallest possible common base made
-    canonical: r is a power of the shared primitive root.
+    Dependent(r, m, n) satisfies p = r^m, q = r^n with gcd(m, n) = 1, so r
+    is the largest common base: with p = d^e1 and q = d^e2 for the shared
+    primitive root d, r = d^gcd(e1, e2).  mult_dependence(4, 16) is
+    Dependent(r=4, m=1, n=2).
     """
     if p < 2 or q < 2:
         raise ValueError("arguments must be at least 2")

@@ -9,10 +9,10 @@ and independent of the worker count.
 
 Taking the occurrence matrix is a monoid homomorphism, so a pair whose
 matrices do not commute cannot commute either.  The sweep screens every
-pair by whether its matrices commute and composes only the pairs that
-pass; on the default bounds that is 26,936 of 234,256.  A screened pair's
-oracle answer is False, which is what composition returns, so a wrong
-True prediction on it is still a mismatch.
+pair by whether its matrices commute and runs the oracle only on the
+pairs that pass; on the default bounds that is 26,936 of 234,256.  A
+screened pair's oracle answer is False, which is what the oracle would
+return, so a wrong True prediction on it is still a mismatch.
 
 The pair count is known in closed form from the bounds, and a sweep of
 more than MAX_PAIRS pairs is refused before anything is enumerated.

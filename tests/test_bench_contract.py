@@ -5,8 +5,13 @@ the check needs nothing outside the package."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+from trimorph.classifier import classify
+from trimorph.morphisms import parse_morphism
+from trimorph.sweep import SweepConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -32,3 +37,20 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(f"trimorph.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_replace_flips_one_field_of_a_report():
+    # perfbench/test_perfbench.py flips a prediction with dataclasses.replace.
+    report = classify(parse_morphism("a=a,b=bab"), parse_morphism("a=a,b=bababab"))
+    flipped = dataclasses.replace(report, prediction=not report.prediction)
+    assert flipped.prediction is not report.prediction
+    kept = [f.name for f in dataclasses.fields(report) if f.name != "prediction"]
+    assert kept == ["case", "swapped", "conditions", "witness"]
+    assert [getattr(flipped, k) for k in kept] == [getattr(report, k) for k in kept]
+
+
+def test_replace_sets_the_worker_count_of_a_sweep_config():
+    # perfbench/run.py re-runs the sweep with replace(config, parallel=...).
+    config = dataclasses.replace(SweepConfig(), parallel=2)
+    assert config.parallel == 2
+    assert dataclasses.replace(config, parallel=1) == SweepConfig()

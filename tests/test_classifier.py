@@ -21,6 +21,7 @@ from trimorph.classifier import (
 )
 from trimorph.morphisms import (
     BinaryMorphism,
+    BOnly,
     Core,
     NotUpperTriangular,
     TriangularForm,
@@ -146,6 +147,66 @@ def test_report_case_is_stable_under_swap(g1, g2):
     r1 = classify(g1, g2)
     r2 = classify(g2, g1)
     assert r1.case == r2.case
+
+
+# --- role order: classify's rank comparison against the rule spelled out
+
+def spelled_out_roles(f1: TriangularForm, f2: TriangularForm) -> tuple[bool, str]:
+    """(swapped, case) by the paper's role rule, written without rank: a
+    b-free image of b first, else an empty image of a first, else the
+    smaller b-count first, ties keeping their order."""
+    if isinstance(f1.bpart, BOnly) or isinstance(f2.bpart, BOnly):
+        swapped = not isinstance(f1.bpart, BOnly)
+    elif f1.s == 0 or f2.s == 0:
+        swapped = f1.s != 0
+    else:
+        swapped = f1.b_count > f2.b_count
+    if swapped:
+        f1, f2 = f2, f1
+    p, q = f1.b_count, f2.b_count
+    if isinstance(f1.bpart, BOnly):
+        case = CASE_SINGULAR_B_IMAGE
+    elif f1.s == 0:
+        case = CASE_SINGULAR_A_IMAGE
+    elif p == 1 and q == 1:
+        case = CASE_BOTH_GAP_ONE
+    elif p == 1:
+        case = CASE_GAP_ONE_VS_MANY
+    elif isinstance(mult_dependence(p, q), Dependent):
+        case = CASE_MULT_DEPENDENT
+    else:
+        case = CASE_MULT_INDEPENDENT
+    return swapped, case
+
+
+def test_roles_match_the_spelled_out_rule_on_the_default_sweep():
+    gs = enumerate_morphisms(SweepConfig())
+    checked = 0
+    for g1 in gs:
+        for g2 in gs:
+            report = classify(g1, g2)
+            assert (report.swapped, report.case) == spelled_out_roles(g1.form, g2.form), (g1, g2)
+            checked += 1
+    assert checked == 234_256
+
+
+@st.composite
+def any_forms(draw):
+    """Triangular forms of every kind: b-free images of b, empty images of
+    a, and b-counts from 1 to 5."""
+    s = draw(st.integers(0, 2))
+    p = draw(st.integers(0, 5))
+    if p == 0:
+        return TriangularForm(s, BOnly(draw(st.integers(0, 3))))
+    pad = st.integers(0, 2)
+    return TriangularForm(s, Core(draw(pad), tuple(draw(pad) for _ in range(p - 1)), draw(pad)))
+
+
+@given(any_forms(), any_forms())
+@settings(max_examples=300)
+def test_roles_match_the_spelled_out_rule(f1, f2):
+    report = classify(f1.to_morphism(), f2.to_morphism())
+    assert (report.swapped, report.case) == spelled_out_roles(f1, f2)
 
 
 def test_report_record_shape():

@@ -196,6 +196,20 @@ def test_cached_invariants_of_gapped_forms(form):
     assert_cached_invariants(form, form.to_morphism().image_b)
 
 
+@pytest.mark.parametrize(
+    "form, rank",
+    [
+        (TriangularForm(2, BOnly(3)), 0),
+        (TriangularForm(0, BOnly(0)), 0),
+        (TriangularForm(0, Core(1, (2,), 0)), 1),
+        (TriangularForm(1, Core(0, (), 0)), 2),
+        (TriangularForm(2, Core(0, (1, 1), 3)), 4),
+    ],
+)
+def test_rank_of_each_kind_of_form(form, rank):
+    assert form.rank == rank
+
+
 @given(triangular_morphisms(max_s=2, max_image=4), st.integers(1, 4))
 def test_b_count_grows_geometrically(g, n):
     form = to_triangular(g)
