@@ -8,6 +8,7 @@ brute-force composition oracle over an exhaustive sweep space.
 from .words import (
     EMPTY,
     MAX_COUNT,
+    BeyondBudget,
     CountOverflow,
     ParseError,
     Word,
@@ -28,7 +29,6 @@ from .morphisms import (
     compose,
     format_morphism,
     is_nonsingular,
-    is_special_pair,
     matrix,
     parse_morphism,
     power,
@@ -60,7 +60,7 @@ from .classifier import (
     classify,
     direct_commute,
 )
-from .freeness import Relation, SearchAborted, find_relation, matrix_collision, verify_relation
-from .sweep import SweepConfig, SweepResult, SweepTooLarge, enumerate_morphisms, run_sweep
+from .freeness import Relation, SearchAborted, find_relation, matrix_collision
+from .sweep import SweepConfig, SweepResult, enumerate_morphisms, run_sweep
 
 __version__ = "0.1.0"

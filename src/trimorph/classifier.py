@@ -26,8 +26,11 @@ places):
 MultDependent compares g1^n and g2^m without building them: their images
 of b hold r^(mn) b's, but their outer paddings have closed forms and their
 interior gaps are the closed-form gaps of omega(g1) and omega(g2), which
-agree everywhere once they agree on O(mn q) classes of indexes.  The test
-suite keeps the version that composes the powers as its reference.
+agree everywhere once they agree on one index of each of W classes.  All of
+these are exact integers, with no 64-bit bound; the one refusal is
+BeyondBudget when W exceeds 64 comparisons per b of the larger b-image, so
+the work stays linear in the input.  The test suite keeps the version that
+composes the powers as its reference.
 """
 from __future__ import annotations
 
@@ -42,8 +45,8 @@ from .morphisms import (
     shape_to_word,
 )
 from .numtheory import Dependent, mult_dependence
-from .omega import gap, gap_sequence, geometric
-from .words import MAX_COUNT, CountOverflow, Word, b_core, words_commute
+from .omega import exact_gap, exact_gap_sequence, geometric
+from .words import BeyondBudget, Word, b_core, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
 CASE_SINGULAR_A_IMAGE = "SingularAImage"
@@ -118,43 +121,44 @@ def _match_block_powers(su: Core, sv: Core) -> dict | None:
 
 
 def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
-    """(s^k, gamma1 G(s, k), gamma2 G(s, k)): the a-count of g^k(a) and the
-    outer a-padding of g^k(b), where g^k(b) = a^(gamma1 G) (the prefix of
-    omega(g) through its p^k-th b) a^(gamma2 G).
-
-    Raises CountOverflow when one of these or the largest interior gap of
-    g^k(b) exceeds the 64-bit bound.  Gaps grow with the p-adic valuation
-    of their index, so that gap sits at p^(k-1) d, d the position of the
-    largest interior gap of g(b).  Memoised on the form; an overflow is
-    not kept, so it is raised again on every call.
+    """(s^k, gamma1 G(s, k), gamma2 G(s, k)) as exact integers: the a-count
+    of g^k(a) and the outer a-padding of g^k(b), where g^k(b) =
+    a^(gamma1 G) (the prefix of omega(g) through its p^k-th b) a^(gamma2 G).
+    Memoised on the form.
     """
     counts = form.power_counts.get(k)
     if counts is None:
         core = form.bpart
-        assert isinstance(core, Core)
-        gap(form, core.p ** (k - 1) * (core.alphas.index(max(core.alphas)) + 1))
         factor = geometric(form.s, k)
-        counts = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
-        if max(counts) > MAX_COUNT:
-            raise CountOverflow(f"count {max(counts)} exceeds 64-bit bound")
-        form.power_counts[k] = counts
+        counts = form.power_counts[k] = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
     return counts
 
 
 def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) -> bool:
-    """gap(f1, i) == gap(f2, i) for every 1 <= i < r^(mn), for b-counts r^m and r^n.
+    """exact_gap(f1, i) == exact_gap(f2, i) for every 1 <= i < r^(mn), for
+    b-counts r^m and r^n.
 
     Write i = r^k j with r not dividing j.  The valuation of i in base r^m
     is k // m and its lowest nonzero digit is r^(k mod m) j mod r^m, so
     gap(f1, i) depends only on k and j mod r^m; likewise gap(f2, i) on k
-    and j mod r^n.  One j below r^max(m, n) per class settles every index,
-    at most mn r^max(m, n) comparisons.
+    and j mod r^n.  One j below r^N per class settles every index, N =
+    max(m, n): exactly W = (mn - N + 1)(r - 1) r^(N-1) + r^(N-1) - 1
+    comparisons.  Raises BeyondBudget when W exceeds 64 r^N, 64 per b of
+    the larger b-image; every pair whose power images hold at most 2^64
+    b's is within it.
     """
-    mn = m * n
+    mn, big = m * n, max(m, n)
+    top = r ** (big - 1)
+    work, budget = (mn - big + 1) * (r - 1) * top + top - 1, 64 * r * top
+    if work > budget:
+        raise BeyondBudget(
+            f"classify needs {work} gap comparisons, beyond its budget of {budget} "
+            "(64 per b of the larger image of b)"
+        )
     for k in range(mn):
         rk = r**k
-        for j in range(1, r ** min(max(m, n), mn - k)):
-            if j % r and gap(f1, rk * j) != gap(f2, rk * j):
+        for j in range(1, r ** min(big, mn - k)):
+            if j % r and exact_gap(f1, rk * j) != exact_gap(f2, rk * j):
                 return False
     return True
 
@@ -233,8 +237,6 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     r, m, n = dep.r, dep.m, dep.n
     # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
     nb = p**n
-    if nb > MAX_COUNT:
-        raise CountOverflow(f"power images hold {nb} b's, beyond the 64-bit bound")
     a1, lead1, trail1 = _power_counts(f1, n)
     a2, lead2, trail2 = _power_counts(f2, m)
     same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
@@ -249,7 +251,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     witness: dict = {"r": r, "m": m, "n": n}
     # The core of g1^n(b) is nb b's with the nb - 1 gaps between them.
     if conjugate and nb <= 80:
-        gaps = gap_sequence(f1, nb - 1)
+        gaps = exact_gap_sequence(f1, nb - 1)
         if nb + sum(gaps) <= 80:
             witness["conjugate_core"] = shape_to_word(Core(0, tuple(gaps), 0)).to_text()
     return _report(CASE_MULT_DEPENDENT, swapped, conditions, witness)

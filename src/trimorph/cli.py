@@ -7,8 +7,8 @@ Exit codes: 0 success (and true for assertions), 1 asserted property false,
 2 usage or parse error, a negative sweep bound or --parallel below 1, or an
 --output file that cannot be written, 3 arithmetic overflow, aborted search
 (overflow, or a depth beyond the relation search budget), sweep bounds
-beyond the sweep budget, an omega or gaps length beyond its budget, or out
-of memory.
+beyond the sweep budget, an omega or gaps length beyond its budget, a
+classify beyond its gap budget, or out of memory.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from .omega import (
     gap_sequence_direct,
     omega_prefix,
 )
-from .sweep import SweepConfig, SweepTooLarge, run_sweep
-from .words import CountOverflow, ParseError, Word
+from .sweep import SweepConfig, run_sweep
+from .words import BeyondBudget, CountOverflow, ParseError, Word
 
 # Commuting pairs exercising each structural mechanism; used by the
 # `examples` subcommand and the test suite.
@@ -48,10 +48,6 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
     ("erasing-aligned", "a=eps,b=aa", "a=eps,b=aaa"),
     ("block-against-shift", "a=eps,b=ab", "a=a,b=bab"),
 )
-
-
-class BeyondBudget(Exception):
-    """The requested output is larger than the command's budget."""
 
 
 # A handler returns its results as (record, human line) pairs, the record
@@ -247,7 +243,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         results, ok = args.handler(args)
     except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError, OSError) as exc:
         return _error(exc, 2)
-    except (CountOverflow, SearchAborted, SweepTooLarge, BeyondBudget) as exc:
+    except (CountOverflow, SearchAborted, BeyondBudget) as exc:
         return _error(exc, 3)
     except MemoryError:
         return _error("out of memory", 3)

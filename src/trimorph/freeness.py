@@ -130,14 +130,6 @@ def matrix_collision(g1: BinaryMorphism, g2: BinaryMorphism, depth: int) -> bool
     return _first_collision(g1, g2, depth, exact=False) is not None
 
 
-def verify_relation(g1: BinaryMorphism, g2: BinaryMorphism, rel: Relation) -> bool:
-    """Recompose both sides of a relation and compare."""
-    products = {(1,): g1, (2,): g2}
-    return _composition(rel.left, (g1, g2), products) == _composition(
-        rel.right, (g1, g2), products
-    )
-
-
 def relation_record(depth: int, rel: Relation | None) -> dict:
     """The `relation_search` record of a search to the given depth; the
     sequences are written as digit strings, such as "12"."""

@@ -248,14 +248,6 @@ def to_triangular(g: BinaryMorphism) -> TriangularForm:
     return g.form
 
 
-def is_special_pair(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
-    """Both b-images lie in a* b a* and exactly one morphism fixes a."""
-    f1, f2 = to_triangular(g1), to_triangular(g2)
-    if f1.b_count != 1 or f2.b_count != 1:
-        return False
-    return (f1.s == 1) != (f2.s == 1)
-
-
 _MORPHISM_RE = re.compile(r"^a=([ab]+|eps),b=([ab]+|eps)$")
 
 

@@ -126,25 +126,27 @@ def geometric(s: int, m: int) -> int:
     return m if s == 1 else (s**m - 1) // (s - 1)
 
 
-def gap(form: TriangularForm, i: int) -> int:
-    """Number of a's between the i-th and (i+1)-th b of omega(h), closed form."""
+def exact_gap(form: TriangularForm, i: int) -> int:
+    """gap(form, i) as an exact integer, with no 64-bit bound."""
     core = _require_gapped(form)
     if i < 1:
         raise ValueError("i must be positive")
     m, d = val_and_digit(i, core.p)
-    value = core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
+    return core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
+
+
+def gap(form: TriangularForm, i: int) -> int:
+    """Number of a's between the i-th and (i+1)-th b of omega(h), closed form."""
+    value = exact_gap(form, i)
     if value > MAX_COUNT:
         raise CountOverflow(f"gap {value} exceeds 64-bit bound")
     return value
 
 
-def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
-    """[gap(form, 1), ..., gap(form, upto)] via the closed form, built
-    blockwise: the indexes p j + 1 ... p j + p - 1 carry alpha_1 ...
-    alpha_(p-1), and gap(p j) = s gap(j) + gamma1 + gamma2.
-
-    Raises CountOverflow exactly when gap(form, i) would for some i <= upto.
-    """
+def exact_gap_sequence(form: TriangularForm, upto: int) -> list[int]:
+    """[exact_gap(form, 1), ..., exact_gap(form, upto)], built blockwise:
+    the indexes p j + 1 ... p j + p - 1 carry alpha_1 ... alpha_(p-1), and
+    gap(p j) = s gap(j) + gamma1 + gamma2."""
     core = _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
@@ -157,6 +159,15 @@ def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
         seq.extend(core.alphas)
         j += 1
     del seq[upto:]
+    return seq
+
+
+def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
+    """[gap(form, 1), ..., gap(form, upto)] via the closed form.
+
+    Raises CountOverflow exactly when gap(form, i) would for some i <= upto.
+    """
+    seq = exact_gap_sequence(form, upto)
     if seq and max(seq) > MAX_COUNT:
         raise CountOverflow("gap values exceed the 64-bit bound")
     return seq
@@ -189,19 +200,3 @@ def omega_eventually_periodic(form: TriangularForm) -> bool:
     """
     alpha = _require_gapped(form).uniform_gap
     return alpha is not None and (form.s == 1 or alpha == 0)
-
-
-def eventually_periodic_prefix(text: str, max_period: int = 200, preperiod: int = 1000) -> bool:
-    """Empirical periodicity check on a finite prefix.
-
-    True iff some period d <= max_period makes text[i] == text[i + d] hold
-    for every i >= preperiod inside the prefix.  The caller must supply a
-    prefix long enough to separate true periodicity from coincidence.
-    """
-    n = len(text)
-    if n <= preperiod + max_period:
-        raise ValueError("prefix too short for the requested bounds")
-    for d in range(1, max_period + 1):
-        if text[preperiod : n - d] == text[preperiod + d :]:
-            return True
-    return False

@@ -26,14 +26,10 @@ from itertools import product
 
 from .classifier import SCHEMA_VERSION, classify, direct_commute
 from .morphisms import BinaryMorphism, Core, format_morphism, shape_to_word
-from .words import A, Word
+from .words import A, BeyondBudget, Word
 
 # About forty times the default sweep's 234,256 pairs.
 MAX_PAIRS = 10_000_000
-
-
-class SweepTooLarge(Exception):
-    """The bounds give more ordered pairs than MAX_PAIRS."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +37,7 @@ class SweepConfig:
     """Structural bounds: images of a up to a^max_s, b-counts up to max_p,
     a-paddings and interior gaps up to max_exp, b-free images up to
     a^max_bonly_exp.  Negative bounds and parallel < 1 raise ValueError,
-    and bounds that give more than MAX_PAIRS pairs raise SweepTooLarge."""
+    and bounds that give more than MAX_PAIRS pairs raise BeyondBudget."""
 
     max_s: int = 3
     max_p: int = 3
@@ -56,7 +52,7 @@ class SweepConfig:
             if value < least:
                 raise ValueError(f"{f.name} must be at least {least}, got {value}")
         if self.pair_count() > MAX_PAIRS:
-            raise SweepTooLarge(f"the sweep bounds give more than {MAX_PAIRS} pairs, the sweep budget")
+            raise BeyondBudget(f"the sweep bounds give more than {MAX_PAIRS} pairs, the sweep budget")
 
     def pair_count(self) -> int:
         """The ordered pairs the sweep evaluates, counted without enumerating:

@@ -4,7 +4,9 @@ Words are stored run-length encoded: a tuple of (letter, count) runs with
 adjacent runs carrying distinct letters and every count >= 1.  The empty
 word is the empty run tuple.  Run counts and word lengths are checked
 against a 64-bit bound; arithmetic that would exceed it raises
-CountOverflow instead of silently wrapping or degrading.
+CountOverflow instead of silently wrapping or degrading.  BeyondBudget is
+the one exception for work or output beyond a budget, raised by the
+library and the command line alike.
 """
 from __future__ import annotations
 
@@ -23,6 +25,10 @@ Run = tuple[str, int]
 
 class CountOverflow(OverflowError):
     """A run count or word length left the 64-bit range."""
+
+
+class BeyondBudget(Exception):
+    """The requested work or output is larger than its budget."""
 
 
 class ParseError(ValueError):

@@ -43,6 +43,30 @@ def as_strings(g: BinaryMorphism) -> tuple[str, str]:
     return text(g.image_a), text(g.image_b)
 
 
+def eventually_periodic_prefix(text: str, max_period: int = 200, preperiod: int = 1000) -> bool:
+    """Empirical periodicity check on a finite prefix.
+
+    True iff some period d <= max_period makes text[i] == text[i + d] hold
+    for every i >= preperiod inside the prefix.  The caller must supply a
+    prefix long enough to separate true periodicity from coincidence.
+    """
+    n = len(text)
+    if n <= preperiod + max_period:
+        raise ValueError("prefix too short for the requested bounds")
+    for d in range(1, max_period + 1):
+        if text[preperiod : n - d] == text[preperiod + d :]:
+            return True
+    return False
+
+
+def is_special_pair(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
+    """Both b-images lie in a* b a* and exactly one morphism fixes a."""
+    f1, f2 = g1.form, g2.form
+    if f1.b_count != 1 or f2.b_count != 1:
+        return False
+    return (f1.s == 1) != (f2.s == 1)
+
+
 # --- strategies
 
 def word_texts(max_size: int = 16):

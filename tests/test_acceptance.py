@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 
+from conftest import eventually_periodic_prefix, is_special_pair
 from trimorph.classifier import CASES, classify, direct_commute
 from trimorph.cli import EXAMPLE_PAIRS
 from trimorph.freeness import find_relation, matrix_collision
@@ -21,7 +22,6 @@ from trimorph.morphisms import (
     Core,
     TriangularForm,
     is_nonsingular,
-    is_special_pair,
     mat_mul,
     parse_morphism,
     power,
@@ -29,7 +29,6 @@ from trimorph.morphisms import (
 )
 from trimorph.numtheory import INDEPENDENT, Dependent, mult_dependence, primitive_root
 from trimorph.omega import (
-    eventually_periodic_prefix,
     gap_sequence,
     gap_sequence_direct,
     omega_eventually_periodic,

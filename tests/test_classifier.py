@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import time
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import gapped_forms, morphisms, triangular_morphisms, words
+from trimorph import classifier
 from trimorph.classifier import (
     CASE_BOTH_GAP_ONE,
     CASE_GAP_ONE_VS_MANY,
@@ -33,7 +35,7 @@ from trimorph.morphisms import (
 )
 from trimorph.numtheory import Dependent, mult_dependence
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import A, CountOverflow, Word, b_core
+from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, b_core
 
 
 def m(text):
@@ -327,21 +329,81 @@ def test_mult_dependent_huge_power_images_answer_at_once():
 
 
 @pytest.mark.parametrize(
-    "g1, g2",
+    "g1, g2, commute",
     [
         # 2^8 and 2^9 b's: the power images would hold 2^72 b's.
-        ("a=a,b=" + "b" * 256, "a=a,b=" + "b" * 512),
+        ("a=a,b=" + "b" * 256, "a=a,b=" + "b" * 512, True),
         # 2 and 2^4 b's: g1^4(a) = a^(2^80).
-        ("a=" + "a" * 2**20 + ",b=bab", "a=" + "a" * 2**20 + ",b=" + "b" * 16),
+        ("a=" + "a" * 2**20 + ",b=bab", "a=" + "a" * 2**20 + ",b=" + "b" * 16, False),
         # The gap at index 8 of g1^4(b) is 2^20 * (2^15)^3 = 2^65.
-        ("a=" + "a" * 2**15 + ",b=b" + "a" * 2**20 + "b", "a=" + "a" * 2**15 + ",b=" + "b" * 16),
+        (
+            "a=" + "a" * 2**15 + ",b=b" + "a" * 2**20 + "b",
+            "a=" + "a" * 2**15 + ",b=" + "b" * 16,
+            False,
+        ),
     ],
     ids=["nb-2^72", "a-count-2^80", "gap-2^65"],
 )
-def test_mult_dependent_power_counts_beyond_64_bits_overflow(g1, g2):
-    for pair in ((g1, g2), (g2, g1)):
-        with pytest.raises(CountOverflow):
-            classify(*map(m, pair))
+def test_mult_dependent_power_counts_beyond_64_bits_overflow(g1, g2, commute):
+    # Counts of the power images that overflow 64 bits are compared as exact
+    # integers, so classify answers with the oracle's verdict.
+    for h1, h2 in ((m(g1), m(g2)), (m(g2), m(g1))):
+        report = classify(h1, h2)
+        assert report.case == CASE_MULT_DEPENDENT
+        assert report.prediction == direct_commute(h1, h2) == commute
+
+
+def test_mult_dependent_witness_gaps_beyond_64_bits():
+    # 4 and 8 b's, both fixing a: g1^3(b) and g2^2(b) agree up to moving a's
+    # across their ends, and the gap at index 32 of g1^3(b) is x + 5.
+    # The oracle confirms the pair at x = 1; at x = 2^64 - 3 it cannot compose.
+    for x in (1, MAX_COUNT - 2):
+        g1 = TriangularForm(1, Core(1, (x, x + 1, x), 1)).to_morphism()
+        g2 = TriangularForm(1, Core(1, (x, x + 1, x, x + 2, x, x + 1, x), 2)).to_morphism()
+        report = classify(g1, g2)
+        assert report.conditions["power_images_a_conjugate"]
+        assert report.witness == {"r": 2, "m": 2, "n": 3}
+        assert x > 1 or direct_commute(g1, g2)
+
+
+def test_mult_dependent_beyond_the_gap_budget_refuses_at_once():
+    # p = 2^12 and q = 2^13 with one uniform gap: the powers agree outside,
+    # and matching their gaps would take 593,919 comparisons against a
+    # budget of 64 * 2^13 = 524,288.
+    g1 = m("a=a,b=" + "ba" * 4095 + "b")
+    g2 = m("a=a,b=" + "ba" * 8191 + "b")
+    assert (g1.form.b_count, g2.form.b_count) == (2**12, 2**13)
+    start = time.perf_counter()
+    with pytest.raises(BeyondBudget, match="^classify needs 593919 gap comparisons"):
+        classify(g1, g2)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):
+    # Distinct sentinel forms and a gap that returns its form settle
+    # _gaps_agree at the first comparison, once it passes the budget.
+    monkeypatch.setattr(classifier, "exact_gap", lambda form, i: form)
+    admitted = 0
+    for r in range(2, 1024):
+        for n in range(1, 65):
+            for m_ in range(1, n + 1):
+                if r ** (m_ * n) > 2**64:
+                    break
+                if gcd(m_, n) == 1:
+                    assert not classifier._gaps_agree(object(), object(), r, m_, n)
+                    admitted += 1
+    assert admitted == 8748
+
+
+@pytest.mark.parametrize("r, m_, n", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (2, 3, 4), (4, 2, 3)])
+def test_gap_comparisons_are_exactly_counted(monkeypatch, r, m_, n):
+    # Equal gaps everywhere make _gaps_agree compare every class.
+    calls = []
+    monkeypatch.setattr(classifier, "exact_gap", lambda form, i: calls.append(i) or 0)
+    assert classifier._gaps_agree(object(), object(), r, m_, n)
+    big = max(m_, n)
+    work = (m_ * n - big + 1) * (r - 1) * r ** (big - 1) + r ** (big - 1) - 1
+    assert len(calls) == 2 * work
 
 
 def literal_power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
@@ -370,17 +432,45 @@ def test_memoised_power_counts_match_literal_powers(form, k):
     assert_power_counts(form, k)
 
 
-@pytest.mark.parametrize(
-    "form, k",
-    [
-        (TriangularForm(2**20, Core(0, (1,), 0)), 4),  # g^4(a) = a^(2^80)
-        (TriangularForm(2**15, Core(0, (2**20,), 0)), 4),  # a gap of 2^65
-        (TriangularForm(1, Core(2**63, (0,), 0)), 2),  # leading padding 2^64
-    ],
-    ids=["a-count-2^80", "gap-2^65", "padding-2^64"],
-)
-def test_power_count_overflow_is_raised_on_every_call(form, k):
-    for _ in range(2):
-        with pytest.raises(CountOverflow):
-            _power_counts(form, k)
-    assert k not in form.power_counts
+# --- mirror symmetry, far from the default bounds
+
+def mirror(g: BinaryMorphism) -> BinaryMorphism:
+    """Both images reversed: reversal is an anti-automorphism of {a,b}*, so
+    g1 g2 = g2 g1 exactly when mirror(g1) and mirror(g2) commute."""
+    return BinaryMorphism(*(Word(w.runs[::-1]) for w in (g.image_a, g.image_b)))
+
+
+FAR = st.one_of(st.sampled_from((0, 0, 1, 2, 3)), st.integers(0, 10**6))
+
+
+@st.composite
+def far_morphisms(draw):
+    """a -> a^s, with s, the paddings and the gaps up to 10^6 and 1 to 9 b's."""
+    p = draw(st.sampled_from((1, 2, 3, 4, 8, 9)))
+    shape = Core(draw(FAR), tuple(draw(FAR) for _ in range(p - 1)), draw(FAR))
+    return BinaryMorphism(Word.single(A, draw(FAR)), shape_to_word(shape))
+
+
+@st.composite
+def far_pairs(draw):
+    """Two far morphisms, or in half the pairs powers g^i and g^j of one,
+    with i, j <= 3 and at most 300 b's in either image of b."""
+    g = draw(far_morphisms())
+    if draw(st.booleans()):
+        return g, draw(far_morphisms())
+    p = g.form.b_count
+    exponents = [k for k in (1, 2, 3) if p**k <= 300]
+    return tuple(power(g, draw(st.sampled_from(exponents))) for _ in range(2))
+
+
+@given(far_pairs())
+@settings(max_examples=300)
+def test_mirrored_pairs_keep_their_report(pair):
+    g1, g2 = pair
+    report = classify(g1, g2)
+    mirrored = classify(mirror(g1), mirror(g2))
+    assert (mirrored.case, mirrored.swapped, mirrored.prediction) == (
+        report.case,
+        report.swapped,
+        report.prediction,
+    )

@@ -280,6 +280,16 @@ def test_refused_sweep_leaves_output_alone(capsys, tmp_path, argv, code):
     assert not new.exists()
 
 
+def test_classify_beyond_the_gap_budget_exits_three(capsys):
+    g1, g2 = "a=a,b=" + "ba" * 4095 + "b", "a=a,b=" + "ba" * 8191 + "b"
+    code, out, err = run(capsys, "classify", g1, g2)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: classify needs 593919 gap comparisons, beyond its budget of 524288 "
+        "(64 per b of the larger image of b)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -13,7 +14,6 @@ from trimorph.freeness import (
     SearchAborted,
     find_relation,
     matrix_collision,
-    verify_relation,
 )
 from trimorph.classifier import direct_commute
 from trimorph.morphisms import BinaryMorphism, compose, parse_morphism
@@ -23,6 +23,14 @@ from trimorph.words import CountOverflow, Word
 
 def m(text):
     return parse_morphism(text)
+
+
+def verify_relation(g1, g2, rel):
+    """Recompose both sides of a relation, one generator at a time, and compare."""
+    def composed(seq):
+        return reduce(compose, ((g1, g2)[i - 1] for i in seq))
+
+    return composed(rel.left) == composed(rel.right)
 
 
 def materialised_relation(g1, g2, depth):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from conftest import (
     as_strings,
     gapped_forms,
+    is_special_pair,
     morphisms,
     napply,
     ncompose,
@@ -26,7 +27,6 @@ from trimorph.morphisms import (
     compose,
     format_morphism,
     is_nonsingular,
-    is_special_pair,
     mat_mul,
     matrix,
     parse_morphism,

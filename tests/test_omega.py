@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import gapped_forms, npower
+from conftest import eventually_periodic_prefix, gapped_forms, npower
 from trimorph.morphisms import Core, TriangularForm, parse_morphism, to_triangular
 from trimorph.numtheory import val_and_digit
 from trimorph.omega import (
     NotApplicable,
     OmegaUndefined,
-    eventually_periodic_prefix,
     gap,
     gap_sequence,
     gap_sequence_direct,
