@@ -26,7 +26,8 @@ places):
 MultDependent compares g1^n and g2^m without building them: their images
 of b hold r^(mn) b's, but their outer paddings have closed forms and their
 interior gaps are the closed-form gaps of omega(g1) and omega(g2), which
-agree everywhere once they agree on one index of each of W classes.  All of
+agree everywhere once they agree on one index of each of W classes, or at
+once when both sequences are constant (omega_eventually_periodic).  All of
 these are exact integers, with no 64-bit bound; the one refusal is
 BeyondBudget when W exceeds 64 comparisons per b of the larger b-image, so
 the work stays linear in the input.  The test suite keeps the version that
@@ -45,8 +46,8 @@ from .morphisms import (
     shape_to_word,
 )
 from .numtheory import Dependent, mult_dependence
-from .omega import exact_gap, exact_gap_sequence, geometric
-from .words import BeyondBudget, Word, b_core, words_commute
+from .omega import exact_gap, exact_gap_sequence, geometric, omega_eventually_periodic
+from .words import SCHEMA_VERSION, BeyondBudget, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
 CASE_SINGULAR_A_IMAGE = "SingularAImage"
@@ -64,8 +65,6 @@ CASES = (
     CASE_MULT_DEPENDENT,
 )
 
-SCHEMA_VERSION = 1
-
 
 def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
     """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
@@ -73,17 +72,6 @@ def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
     return apply(g1, g2.image_a) == apply(g2, g1.image_a) and (
         apply(g1, g2.image_b) == apply(g2, g1.image_b)
     )
-
-
-def a_conjugates(u: Word, v: Word) -> bool:
-    """True iff v is obtained from u by moving a's across the ends.
-
-    Equivalently: equal b-cores and equal total a-count (for b-free words,
-    equal length).
-    """
-    lead_u, core_u, trail_u = b_core(u)
-    lead_v, core_v, trail_v = b_core(v)
-    return core_u == core_v and lead_u + trail_u == lead_v + trail_v
 
 
 @dataclass(slots=True)
@@ -241,7 +229,13 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     a2, lead2, trail2 = _power_counts(f2, m)
     same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
     conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
-    agree = (same_outside or conjugate_outside) and _gaps_agree(f1, f2, r, m, n)
+    outside = same_outside or conjugate_outside
+    if outside and omega_eventually_periodic(f1) and omega_eventually_periodic(f2):
+        # Both gap sequences are constant, each at its one interior gap, so
+        # they agree without a comparison, whatever their length.
+        agree = c1.alphas[0] == c2.alphas[0]
+    else:
+        agree = outside and _gaps_agree(f1, f2, r, m, n)
     conjugate = conjugate_outside and agree
     conditions = {
         "equal_powers": same_outside and agree,

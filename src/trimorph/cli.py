@@ -9,33 +9,27 @@ Exit codes: 0 success (and true for assertions), 1 asserted property false,
 (overflow, or a depth beyond the relation search budget), sweep bounds
 beyond the sweep budget, an omega or gaps length beyond its budget, a
 classify beyond its gap budget, or out of memory.
+
+Every call starts a fresh interpreter, so the module imports only argparse,
+sys and the words layer at the top.  Each handler imports the modules its
+command runs, and json is imported only when records are printed: omega,
+gaps, multdep, conjugate and free load neither the classifier nor
+dataclasses, and only sweep loads the sweep module.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
-from typing import Sequence
+from collections.abc import Sequence
 
-from .classifier import SCHEMA_VERSION, classify, direct_commute, a_conjugates
-from .freeness import DEFAULT_DEPTH, SearchAborted, find_relation, relation_record
-from .morphisms import (
-    NotUpperTriangular,
-    format_morphism,
-    parse_morphism,
-    to_triangular,
+from .words import (
+    SCHEMA_VERSION,
+    BeyondBudget,
+    CountOverflow,
+    SearchAborted,
+    Word,
+    a_conjugates,
 )
-from .numtheory import Dependent, mult_dependence
-from .omega import (
-    NotApplicable,
-    OmegaUndefined,
-    gap_sequence,
-    gap_sequence_direct,
-    omega_prefix,
-)
-from .sweep import SweepConfig, run_sweep
-from .words import BeyondBudget, CountOverflow, ParseError, Word
 
 # Commuting pairs exercising each structural mechanism; used by the
 # `examples` subcommand and the test suite.
@@ -61,6 +55,9 @@ def _text(flag: bool) -> str:
 
 
 def _check(args) -> Results:
+    from .classifier import direct_commute
+    from .morphisms import format_morphism, parse_morphism
+
     g1 = parse_morphism(args.g1)
     g2 = parse_morphism(args.g2)
     commute = direct_commute(g1, g2)
@@ -74,6 +71,9 @@ def _check(args) -> Results:
 
 
 def _classify(args) -> Results:
+    from .classifier import classify
+    from .morphisms import format_morphism, parse_morphism
+
     g1 = parse_morphism(args.g1)
     g2 = parse_morphism(args.g2)
     report = classify(g1, g2)
@@ -94,7 +94,10 @@ MAX_OMEGA_LEN = 3_000_000
 
 
 def _omega(args) -> Results:
-    form = to_triangular(parse_morphism(args.h))
+    from .morphisms import parse_morphism
+    from .omega import omega_prefix
+
+    form = parse_morphism(args.h).form
     if args.len > MAX_OMEGA_LEN:
         raise BeyondBudget(f"--len {args.len} exceeds the omega budget of {MAX_OMEGA_LEN}")
     text = omega_prefix(form, args.len).to_text()
@@ -107,7 +110,10 @@ MAX_DIRECT_GAPS = 4_000_000
 
 
 def _gaps(args) -> Results:
-    form = to_triangular(parse_morphism(args.h))
+    from .morphisms import parse_morphism
+    from .omega import gap_sequence, gap_sequence_direct
+
+    form = parse_morphism(args.h).form
     if args.direct and form.b_count * args.upto > MAX_DIRECT_GAPS:
         raise BeyondBudget(
             f"--upto {args.upto} with {form.b_count} b's in h(b) exceeds the direct "
@@ -134,6 +140,8 @@ def _conjugate(args) -> Results:
 
 
 def _multdep(args) -> Results:
+    from .numtheory import Dependent, mult_dependence
+
     dep = mult_dependence(args.p, args.q)
     record = {"kind": "dependence", "p": args.p, "q": args.q}
     if not isinstance(dep, Dependent):
@@ -143,13 +151,25 @@ def _multdep(args) -> Results:
 
 
 def _free(args) -> Results:
-    rel = find_relation(parse_morphism(args.g1), parse_morphism(args.g2), args.depth)
-    record = relation_record(args.depth, rel)
+    from .freeness import DEFAULT_DEPTH, find_relation, relation_record
+    from .morphisms import parse_morphism
+
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    rel = find_relation(parse_morphism(args.g1), parse_morphism(args.g2), depth)
+    record = relation_record(depth, rel)
     return [(record, f"{record['left']} = {record['right']}" if rel else "none")], True
 
 
+# The fields of SweepConfig, which holds their defaults; a test keeps the two
+# lists equal.  Naming them here lets the parser leave the sweep unloaded.
+SWEEP_BOUNDS = ("max_s", "max_p", "max_exp", "max_bonly_exp", "parallel")
+
+
 def _sweep(args) -> Results:
-    config = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
+    from .sweep import SweepConfig, run_sweep
+
+    given = {name: getattr(args, name) for name in SWEEP_BOUNDS}
+    config = SweepConfig(**{name: value for name, value in given.items() if value is not None})
     # SweepConfig has checked the bounds and the pair budget, so a refused
     # sweep leaves --output alone; an unwritable path fails here, before the
     # sweep, with OSError.
@@ -168,6 +188,9 @@ def _sweep(args) -> Results:
 
 
 def _examples(args) -> Results:
+    from .classifier import classify, direct_commute
+    from .morphisms import parse_morphism
+
     results = []
     for name, text1, text2 in EXAMPLE_PAIRS:
         g1 = parse_morphism(text1)
@@ -181,7 +204,8 @@ def _examples(args) -> Results:
 
 PAIR = (("g1", {}), ("g2", {}))
 # (name, help, arguments as (flag or name, add_argument keywords), handler);
-# every subcommand also takes --json.
+# every subcommand also takes --json.  An option whose default lives in the
+# library is None here and resolved by its handler.
 COMMANDS = (
     ("check", "oracle commutation test for two morphisms", PAIR + (
         ("--assert", dict(dest="assert_", action="store_true",
@@ -203,10 +227,9 @@ COMMANDS = (
     ("multdep", "multiplicative dependence of two integers",
      (("p", dict(type=int)), ("q", dict(type=int))), _multdep),
     ("free", "search for a composition relation",
-     PAIR + (("--depth", dict(type=int, default=DEFAULT_DEPTH)),), _free),
+     PAIR + (("--depth", dict(type=int)),), _free),
     ("sweep", "exhaustive prediction-versus-oracle sweep", tuple(
-        ("--" + f.name.replace("_", "-"), dict(type=int, default=f.default))
-        for f in fields(SweepConfig)
+        ("--" + name.replace("_", "-"), dict(type=int)) for name in SWEEP_BOUNDS
     ) + (("--output", dict(help="write mismatch and summary records to this file")),), _sweep),
     ("examples", "run the bundled commuting example pairs", (), _examples),
 )
@@ -241,26 +264,33 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         results, ok = args.handler(args)
-    except (ParseError, NotUpperTriangular, NotApplicable, OmegaUndefined, ValueError, OSError) as exc:
+    # ParseError, NotUpperTriangular, NotApplicable and OmegaUndefined are
+    # ValueErrors.
+    except (ValueError, OSError) as exc:
         return _error(exc, 2)
     except (CountOverflow, SearchAborted, BeyondBudget) as exc:
         return _error(exc, 3)
     except MemoryError:
         return _error("out of memory", 3)
-    lines = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
     # --output (sweep only) sends the records to a file and the human
     # summary to stdout, whether or not --json is given.
     output = getattr(args, "output", None)
-    if output:
-        try:
-            with open(output, "w") as sink:  # closing flushes, so a full disk fails here too
-                sink.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            return _error(exc, 2)
-    for line, (_, human) in zip(lines, results):
-        text = line if args.json and not output else human
-        if text is not None:
-            print(text)
+    lines: list[str | None] = [human for _, human in results]
+    if args.json or output:
+        import json
+
+        records = [json.dumps({"schema": SCHEMA_VERSION, **rec}, sort_keys=True) for rec, _ in results]
+        if output:
+            try:
+                with open(output, "w") as sink:  # closing flushes, so a full disk fails here too
+                    sink.write("\n".join(records) + "\n")
+            except OSError as exc:
+                return _error(exc, 2)
+        else:
+            lines = records
+    for line in lines:
+        if line is not None:
+            print(line)
     return 0 if ok else 1
 
 

@@ -16,32 +16,37 @@ one a search composing every sequence would report.
 matrix_collision is the same walk without the composition step.  A
 collision-free matrix walk is a sound certificate that no morphism relation
 exists at that depth, while a matrix collision says nothing either way.
+
+The module needs only morphisms and words, so the `free` command loads
+neither the classifier nor dataclasses: SearchAborted and SCHEMA_VERSION
+live in words, and Relation is a plain slotted class, immutable by
+convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .classifier import SCHEMA_VERSION
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import MAX_COUNT, CountOverflow
+from .words import MAX_COUNT, SCHEMA_VERSION, CountOverflow, SearchAborted
 
 
-class SearchAborted(RuntimeError):
-    """A composition of the search would overflow the 64-bit word bound (an
-    entry of its occurrence matrix passes MAX_COUNT), or the requested depth
-    is beyond MAX_DEPTH."""
-
-    def __init__(self, depth: int, message: str | None = None):
-        self.depth = depth
-        super().__init__(message or f"relation search aborted by overflow at depth {depth}")
-
-
-@dataclass(frozen=True)
 class Relation:
     """Sequences over {1, 2} with equal compositions; left was found first."""
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if other.__class__ is Relation:
+            return self.left == other.left and self.right == other.right
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"Relation(left={self.left!r}, right={self.right!r})"
 
 
 DEFAULT_DEPTH = 6

@@ -12,11 +12,14 @@ either a b-free word a^e or the padded block form
 
 with p >= 1 occurrences of b.  TriangularForm captures that decomposition
 exactly and reconstructs the morphism from it.
+
+The value types are plain classes, immutable by convention, with the
+equality, hash and repr a frozen dataclass would give them: every command
+builds them, and dataclasses is too costly to import on each one.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .words import (
@@ -39,10 +42,21 @@ class NotUpperTriangular(ValueError):
     """The image of a contains b, so no triangular decomposition exists."""
 
 
-@dataclass(frozen=True)
 class BinaryMorphism:
-    image_a: Word
-    image_b: Word
+    def __init__(self, image_a: Word, image_b: Word):
+        self.image_a = image_a
+        self.image_b = image_b
+
+    def __eq__(self, other):
+        if other.__class__ is BinaryMorphism:
+            return self.image_a == other.image_a and self.image_b == other.image_b
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.image_a, self.image_b))
+
+    def __repr__(self):
+        return f"BinaryMorphism(image_a={self.image_a!r}, image_b={self.image_b!r})"
 
     @cached_property
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -110,11 +124,24 @@ def mat_mul(x: tuple, y: tuple) -> tuple:
     return ((aa * xa + ab * ya, aa * xb + ab * yb), (ba * xa + bb * ya, ba * xb + bb * yb))
 
 
-@dataclass(frozen=True)
 class MorphMatrix:
     """2x2 occurrence matrix: rows[i][j] counts letter i in the image of letter j."""
 
-    rows: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, int], tuple[int, int]]):
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is MorphMatrix:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"MorphMatrix(rows={self.rows!r})"
 
     def det(self) -> int:
         (aa, ab), (ba, bb) = self.rows
@@ -139,28 +166,56 @@ def is_nonsingular(g: BinaryMorphism) -> bool:
     return matrix(g).det() != 0
 
 
-@dataclass(frozen=True)
 class BOnly:
     """A b-free image of b: the word a^e."""
 
-    e: int
+    __slots__ = ("e",)
+
+    def __init__(self, e: int):
+        self.e = e
+
+    def __eq__(self, other):
+        if other.__class__ is BOnly:
+            return self.e == other.e
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.e)
+
+    def __repr__(self):
+        return f"BOnly(e={self.e!r})"
 
 
-@dataclass(frozen=True)
 class Core:
     """Image of b with p >= 1 occurrences of b.
 
     gamma1 and gamma2 count the a-padding before the first and after the
-    last b; alphas lists the p - 1 interior a-gaps in order.
+    last b; alphas lists the p - 1 interior a-gaps in order.  p is derived
+    from alphas, so it takes no part in equality, hash or repr.
     """
 
-    gamma1: int
-    alphas: tuple[int, ...]
-    gamma2: int
+    __slots__ = ("gamma1", "alphas", "gamma2", "p")
 
-    @cached_property
-    def p(self) -> int:
-        return len(self.alphas) + 1
+    def __init__(self, gamma1: int, alphas: tuple[int, ...], gamma2: int):
+        self.gamma1 = gamma1
+        self.alphas = alphas
+        self.gamma2 = gamma2
+        self.p = len(alphas) + 1
+
+    def __eq__(self, other):
+        if other.__class__ is Core:
+            return (
+                self.gamma1 == other.gamma1
+                and self.gamma2 == other.gamma2
+                and self.alphas == other.alphas
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.gamma1, self.alphas, self.gamma2))
+
+    def __repr__(self):
+        return f"Core(gamma1={self.gamma1!r}, alphas={self.alphas!r}, gamma2={self.gamma2!r})"
 
     @property
     def uniform_gap(self) -> int | None:
@@ -203,12 +258,23 @@ def shape_to_word(shape: BOnly | Core) -> Word:
     return Word(tuple(out))
 
 
-@dataclass(frozen=True)
 class TriangularForm:
     """Canonical data of an upper triangular morphism: a -> a^s plus the b-image shape."""
 
-    s: int
-    bpart: BOnly | Core
+    def __init__(self, s: int, bpart: BOnly | Core):
+        self.s = s
+        self.bpart = bpart
+
+    def __eq__(self, other):
+        if other.__class__ is TriangularForm:
+            return self.s == other.s and self.bpart == other.bpart
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s, self.bpart))
+
+    def __repr__(self):
+        return f"TriangularForm(s={self.s!r}, bpart={self.bpart!r})"
 
     @cached_property
     def b_count(self) -> int:

@@ -9,8 +9,7 @@ both exponents by their gcd.  Inputs past 2^64 - 1 raise CountOverflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .words import MAX_COUNT, CountOverflow
 
@@ -30,8 +29,10 @@ def _is_tiny_prime(m: int) -> bool:
     return True
 
 
+@cache
 def _residue_filter(exp: int) -> tuple[int, frozenset[int]]:
-    """A modulus M (prime, M = 1 mod exp) and the exp-th power residues mod M.
+    """A modulus M (prime, M = 1 mod exp) and the exp-th power residues mod M,
+    built on first use.
 
     n = r^exp forces n mod M into this set, which is small because the
     exp-th powers form an index-exp subgroup of the units mod M.  Testing
@@ -43,19 +44,41 @@ def _residue_filter(exp: int) -> tuple[int, frozenset[int]]:
     return m, frozenset(pow(x, exp, m) for x in range(m))
 
 
-_FILTERS = {exp: _residue_filter(exp) for exp in _ODD_PRIMES}
-
-
-@dataclass(frozen=True)
+# Plain classes, immutable by convention, with the equality, hash and repr
+# of a frozen dataclass.
 class Independent:
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is Independent:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Independent()"
 
 
-@dataclass(frozen=True)
 class Dependent:
-    r: int
-    m: int
-    n: int
+    __slots__ = ("r", "m", "n")
+
+    def __init__(self, r: int, m: int, n: int):
+        self.r = r
+        self.m = m
+        self.n = n
+
+    def __eq__(self, other):
+        if other.__class__ is Dependent:
+            return self.r == other.r and self.m == other.m and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.m, self.n))
+
+    def __repr__(self):
+        return f"Dependent(r={self.r!r}, m={self.m!r}, n={self.n!r})"
 
 
 MultDependence = Independent | Dependent
@@ -105,7 +128,7 @@ def primitive_root(n: int) -> tuple[int, int]:
         # A prime-th root below 2 cannot exist once 2^prime exceeds d.
         if (1 << prime) > d:
             break
-        modulus, residues = _FILTERS[prime]
+        modulus, residues = _residue_filter(prime)
         while (1 << prime) <= d:
             if d % modulus not in residues:
                 break

@@ -23,8 +23,7 @@ agree, in which case omega(h) = (b a^alpha)^infinity.
 """
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from typing import Iterator
+from collections.abc import Generator
 
 from .morphisms import Core, TriangularForm, apply, b_image_shape, shape_to_word
 from .numtheory import val_and_digit
@@ -70,14 +69,15 @@ def _head(w: Word, sizes: dict[str, int], n: int) -> Word:
     return w
 
 
-def _pieces(form: TriangularForm, limit: int | None = None) -> Iterator[Word]:
+def _pieces(form: TriangularForm, unit: str) -> Generator[Word, int, None]:
     """The pieces v, h(v), h^2(v), ... of omega(h), each computed only when
     asked for; the form is checked at the call, not at the first piece.
 
-    With a limit, a piece is cut to a prefix holding its first limit letters.
-    A nonsingular h erases no letter, so the first limit letters of h(v) are
-    those of h(u) for the shortest prefix u of v with |h(u)| >= limit, and
-    only u is expanded.
+    next() gives v.  Each later piece is asked for with send(n) and cut to
+    a prefix holding at least its first n letters (unit A) or its first n
+    b's (unit B).  A nonsingular h erases no letter, so that prefix of
+    h(v) is h(u) for the shortest prefix u of v whose image is long enough,
+    and only u is expanded.
     """
     if not form.is_nonsingular():
         raise NotApplicable("omega needs a nonsingular form")
@@ -85,30 +85,38 @@ def _pieces(form: TriangularForm, limit: int | None = None) -> Iterator[Word]:
     if tail.is_empty():
         raise OmegaUndefined("h(b) = a^gamma1 b has an empty tail")
     h = form.to_morphism()
-    sizes = {A: form.s, B: form.a_count + form.b_count}
+    if unit == A:
+        sizes = {A: form.s, B: form.a_count + form.b_count}
+    else:
+        sizes = {A: 0, B: form.b_count}
 
-    def step(v: Word, _) -> Word:
-        return apply(h, v if limit is None else _head(v, sizes, limit))
+    def expand() -> Generator[Word, int, None]:
+        v = tail
+        while True:
+            v = apply(h, _head(v, sizes, (yield v)))
 
-    return accumulate(repeat(None), step, initial=tail)
+    return expand()
 
 
 def omega_prefix(form: TriangularForm, n: int) -> Word:
     """The first n letters of omega(h)."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    pieces = _pieces(form, n)
+    pieces = _pieces(form, A)
     if n == 0:
         return Word()
     if form.b_count == 1:
         # Every piece is a power of a, so omega(h) = b a^infinity.
         return Word.from_runs(((B, 1), (A, n - 1)))
     acc, held = Word(((B, 1),)), 1
-    while held < n:
-        piece = take_prefix(next(pieces), n - held)
+    piece = next(pieces)
+    while True:
+        piece = take_prefix(piece, n - held)
         acc = concat(acc, piece)
         held += piece.length()
-    return acc
+        if held >= n:
+            return acc
+        piece = pieces.send(n - held)
 
 
 def _require_gapped(form: TriangularForm) -> Core:
@@ -176,21 +184,27 @@ def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
 def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
     """Gap values read off the literal expansion, piece by piece: with p >= 2
     every piece holds a b, and the trailing padding of one piece and the
-    leading padding of the next make one gap.  The pieces end at the b's
-    numbered p, p^2, ..., so fewer than p * upto gaps are read."""
+    leading padding of the next make one gap, so a piece with N b's gives N
+    gaps.  Each piece is expanded only as far as the b's still needed, so
+    fewer than upto + p gaps are read."""
     _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    pieces = _pieces(form)
+    pieces = _pieces(form, B)
     gaps: list[int] = []
+    if upto == 0:
+        return gaps
     pending = 0
-    while len(gaps) < upto:
-        shape = b_image_shape(next(pieces))
+    piece = next(pieces)
+    while True:
+        shape = b_image_shape(piece)
         gaps.append(checked_add(pending, shape.gamma1))
         gaps.extend(shape.alphas)
+        if len(gaps) >= upto:
+            del gaps[upto:]
+            return gaps
         pending = shape.gamma2
-    del gaps[upto:]
-    return gaps
+        piece = pieces.send(upto - len(gaps))
 
 
 def omega_eventually_periodic(form: TriangularForm) -> bool:

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import product
 
-from .classifier import SCHEMA_VERSION, classify, direct_commute
+from .classifier import classify, direct_commute
 from .morphisms import BinaryMorphism, Core, format_morphism, shape_to_word
-from .words import A, BeyondBudget, Word
+from .words import SCHEMA_VERSION, A, BeyondBudget, Word
 
 # About forty times the default sweep's 234,256 pairs.
 MAX_PAIRS = 10_000_000

@@ -6,13 +6,19 @@ word is the empty run tuple.  Run counts and word lengths are checked
 against a 64-bit bound; arithmetic that would exceed it raises
 CountOverflow instead of silently wrapping or degrading.  BeyondBudget is
 the one exception for work or output beyond a budget, raised by the
-library and the command line alike.
+library and the command line alike, and SearchAborted ends a relation
+search.
+
+This is the bottom layer: the command line imports it, and nothing else,
+before it knows which command runs, so it also holds the record
+SCHEMA_VERSION and the word predicate a_conjugates.  Word is a plain
+slotted class, immutable by convention, because a dataclass would import
+dataclasses on every command.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import groupby
-from typing import Iterable
 
 A = "a"
 B = "b"
@@ -22,6 +28,9 @@ MAX_COUNT = 2**64 - 1
 
 Run = tuple[str, int]
 
+# The version of every JSON record the library and the command line print.
+SCHEMA_VERSION = 1
+
 
 class CountOverflow(OverflowError):
     """A run count or word length left the 64-bit range."""
@@ -29,6 +38,16 @@ class CountOverflow(OverflowError):
 
 class BeyondBudget(Exception):
     """The requested work or output is larger than its budget."""
+
+
+class SearchAborted(RuntimeError):
+    """A composition of the relation search would overflow the 64-bit word
+    bound (an entry of its occurrence matrix passes MAX_COUNT), or the
+    requested depth is beyond the search budget."""
+
+    def __init__(self, depth: int, message: str | None = None):
+        self.depth = depth
+        super().__init__(message or f"relation search aborted by overflow at depth {depth}")
 
 
 class ParseError(ValueError):
@@ -65,15 +84,29 @@ def push_run(runs: list[Run], letter: str, count: int) -> None:
         runs.append((letter, count))
 
 
-@dataclass(frozen=True)
 class Word:
     """An element of {a,b}* in run-length normal form.
 
     The constructor trusts its argument; use from_runs or parse for
-    unnormalized input.
+    unnormalized input.  Words are immutable by convention: nothing
+    assigns runs after construction.
     """
 
-    runs: tuple[Run, ...] = ()
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...] = ()):
+        self.runs = runs
+
+    def __eq__(self, other):
+        if other.__class__ is Word:
+            return self.runs == other.runs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.runs)
+
+    def __repr__(self):
+        return f"Word(runs={self.runs!r})"
 
     @staticmethod
     def from_runs(items: Iterable[Run]) -> "Word":
@@ -186,3 +219,14 @@ def b_core(w: Word) -> tuple[int, Word, int]:
 def words_commute(u: Word, v: Word) -> bool:
     """True iff uv = vu, i.e. both are powers of a common word."""
     return concat(u, v) == concat(v, u)
+
+
+def a_conjugates(u: Word, v: Word) -> bool:
+    """True iff v is obtained from u by moving a's across the ends.
+
+    Equivalently: equal b-cores and equal total a-count (for b-free words,
+    equal length).
+    """
+    lead_u, core_u, trail_u = b_core(u)
+    lead_v, core_v, trail_v = b_core(v)
+    return core_u == core_v and lead_u + trail_u == lead_v + trail_v

@@ -17,7 +17,6 @@ from trimorph.classifier import (
     CASE_SINGULAR_A_IMAGE,
     CASE_SINGULAR_B_IMAGE,
     _power_counts,
-    a_conjugates,
     classify,
     direct_commute,
 )
@@ -35,7 +34,7 @@ from trimorph.morphisms import (
 )
 from trimorph.numtheory import Dependent, mult_dependence
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, b_core
+from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, a_conjugates, b_core
 
 
 def m(text):
@@ -367,16 +366,60 @@ def test_mult_dependent_witness_gaps_beyond_64_bits():
 
 
 def test_mult_dependent_beyond_the_gap_budget_refuses_at_once():
-    # p = 2^12 and q = 2^13 with one uniform gap: the powers agree outside,
-    # and matching their gaps would take 593,919 comparisons against a
-    # budget of 64 * 2^13 = 524,288.
-    g1 = m("a=a,b=" + "ba" * 4095 + "b")
+    # p = 2^12 and q = 2^13, g1's last interior gap 2 and every other gap 1:
+    # the powers agree outside, and matching their gaps would take 593,919
+    # comparisons against a budget of 64 * 2^13 = 524,288.
+    g1 = m("a=a,b=" + "ba" * 4095 + "ab")
     g2 = m("a=a,b=" + "ba" * 8191 + "b")
     assert (g1.form.b_count, g2.form.b_count) == (2**12, 2**13)
     start = time.perf_counter()
     with pytest.raises(BeyondBudget, match="^classify needs 593919 gap comparisons"):
         classify(g1, g2)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        ("a=a,b=" + "b" * 4096, "a=a,b=" + "b" * 8192),
+        ("a=a,b=" + "ba" * 4095 + "b", "a=a,b=" + "ba" * 8191 + "b"),
+    ],
+    ids=["b-powers-2^12-2^13", "uniform-gap-2^12-2^13"],
+)
+def test_mult_dependent_constant_gaps_answer_beyond_the_gap_budget(monkeypatch, g1, g2):
+    # h^12 and h^13 of h: b -> bab.  Both gap sequences are constant, so they
+    # agree without the 593,919 comparisons the budget would refuse.
+    def no_comparison(*args):
+        raise AssertionError("constant gap sequences were compared index by index")
+
+    monkeypatch.setattr(classifier, "_gaps_agree", no_comparison)
+    start = time.perf_counter()
+    report = classify(m(g1), m(g2))
+    assert time.perf_counter() - start < 0.1
+    assert (report.case, report.prediction) == (CASE_MULT_DEPENDENT, True)
+    assert report.conditions["equal_powers"] and report.conditions["power_images_a_conjugate"]
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        ("a=a,b=bbbb", "a=a,b=bbbbbbbb"),
+        ("a=a,b=" + "ba" * 3 + "b", "a=a,b=" + "ba" * 7 + "b"),
+        ("a=a,b=" + "baa" * 3 + "b", "a=a,b=" + "ba" * 7 + "b"),
+        ("a=aaaa,b=bbbb", "a=aaaaaaaa,b=bbbbbbbb"),
+        ("a=a,b=" + "ba" * 8 + "b", "a=a,b=" + "ba" * 26 + "b"),
+    ],
+    ids=["b-powers-4-8", "gap-1-4-8", "gaps-2-1-4-8", "s-4-8-4-8", "gap-1-9-27"],
+)
+def test_mult_dependent_constant_gaps_match_the_oracle(monkeypatch, g1, g2):
+    def no_comparison(*args):
+        raise AssertionError("constant gap sequences were compared index by index")
+
+    monkeypatch.setattr(classifier, "_gaps_agree", no_comparison)
+    for h1, h2 in ((m(g1), m(g2)), (m(g2), m(g1))):
+        report = classify(h1, h2)
+        assert report.case == CASE_MULT_DEPENDENT
+        assert report.prediction == direct_commute(h1, h2)
 
 
 def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import dataclasses
 import json
 import os
 import resource
@@ -153,6 +155,7 @@ def test_free_found(capsys):
     assert record["found"] is True
     assert record["left"] == "12"
     assert record["right"] == "21"
+    assert record["depth"] == 6
 
 
 def test_sweep_human_summary(capsys):
@@ -281,7 +284,7 @@ def test_refused_sweep_leaves_output_alone(capsys, tmp_path, argv, code):
 
 
 def test_classify_beyond_the_gap_budget_exits_three(capsys):
-    g1, g2 = "a=a,b=" + "ba" * 4095 + "b", "a=a,b=" + "ba" * 8191 + "b"
+    g1, g2 = "a=a,b=" + "ba" * 4095 + "ab", "a=a,b=" + "ba" * 8191 + "b"
     code, out, err = run(capsys, "classify", g1, g2)
     assert (code, out) == (3, "")
     assert err == (
@@ -317,11 +320,30 @@ def test_expansion_beyond_budget_exits_three_at_once(capsys, argv, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+def test_sweep_flags_are_the_fields_of_sweep_config():
+    # The parser names the bounds itself, so that it need not import the
+    # sweep; the defaults stay in SweepConfig alone.
+    assert cli.SWEEP_BOUNDS == tuple(f.name for f in dataclasses.fields(sweep.SweepConfig))
+
+
+def test_sweep_without_flags_takes_the_config_defaults(monkeypatch, capsys):
+    configs = []
+
+    def record_config(config):
+        configs.append(config)
+        raise OSError("stop")
+
+    monkeypatch.setattr(sweep, "run_sweep", record_config)
+    assert run(capsys, "sweep")[0] == 2
+    assert run(capsys, "sweep", "--max-p", "2", "--parallel", "2")[0] == 2
+    assert configs == [sweep.SweepConfig(), sweep.SweepConfig(max_p=2, parallel=2)]
+
+
 def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):
     def no_sweep(config):
         raise AssertionError("the sweep ran before the output file was opened")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(sweep, "run_sweep", no_sweep)
     path = tmp_path / "missing" / "x.jsonl"
     code, out, err = run(capsys, "sweep", "--output", str(path))
     assert (code, out) == (2, "")
@@ -363,6 +385,56 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def loaded_modules(code: str) -> dict:
+    """Run code in a fresh interpreter and return what it prints last: a
+    literal naming the modules it loaded."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, trimorph; print(sorted(m for m in sys.modules if m.startswith('trimorph.')))"
+    assert loaded_modules(code) == []
+
+
+# What every command but check, classify, sweep and examples leaves
+# unloaded; check runs the oracle, which lives in the classifier.
+LIGHT = ("dataclasses", "trimorph.classifier", "trimorph.sweep")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (("omega", "a=aa,b=abaaab", "--len", "30"), LIGHT),
+        (("gaps", "a=aa,b=abaaab", "--upto", "10", "--direct"), LIGHT),
+        (("multdep", "8", "32", "--json"), LIGHT),
+        (("conjugate", "abb", "bba"), LIGHT),
+        (("free", "a=aa,b=bb", "a=aa,b=abb", "--depth", "4"), LIGHT),
+        (("check", "a=a,b=bab", "a=a,b=bababab"), ("trimorph.sweep", "trimorph.freeness")),
+    ],
+    ids=["omega", "gaps", "multdep", "conjugate", "free", "check"],
+)
+def test_each_command_loads_only_what_it_runs(argv, unloaded):
+    # dataclasses counts only when the interpreter had not loaded it before
+    # trimorph did.
+    code = (
+        "import sys; before = set(sys.modules); from trimorph.cli import main; "
+        f"code = main({list(argv)!r}); "
+        "print({'code': code, 'loaded': sorted(set(sys.modules) - before)})"
+    )
+    result = loaded_modules(code)
+    assert result["code"] == 0
+    assert sorted(set(unloaded) & set(result["loaded"])) == []
 
 
 def test_out_of_memory_exits_three():

@@ -7,7 +7,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import eventually_periodic_prefix, gapped_forms, npower
-from trimorph.morphisms import Core, TriangularForm, parse_morphism, to_triangular
+from trimorph import omega
+from trimorph.morphisms import Core, TriangularForm, b_image_shape, parse_morphism, to_triangular
 from trimorph.numtheory import val_and_digit
 from trimorph.omega import (
     NotApplicable,
@@ -116,6 +117,27 @@ def test_direct_gaps_stay_run_length():
     for fn in (gap_sequence, gap_sequence_direct):
         with pytest.raises(CountOverflow):
             fn(f, 16)
+
+
+@pytest.mark.parametrize(
+    "text", ["a=a,b=bab", "a=aa,b=abaaab", "a=a,b=babbab", "a=aaa,b=abaababab", "a=aa,b=bbbbb"]
+)
+def test_direct_gaps_expand_only_the_bs_they_need(monkeypatch, text):
+    # A piece with N b's gives N gaps, and the last piece is cut to the b's
+    # still needed: fewer than upto + p gaps are read, not up to p * upto.
+    f = form(text)
+    read = []
+
+    def counting(w):
+        shape = b_image_shape(w)
+        read.append(shape.p)
+        return shape
+
+    monkeypatch.setattr(omega, "b_image_shape", counting)
+    for upto in (1, 2, 3, 50, 999, 2001):
+        read.clear()
+        assert gap_sequence_direct(f, upto) == gap_sequence(f, upto)
+        assert upto <= sum(read) < upto + f.b_count
 
 
 def test_gap_sequence_overflows_exactly_where_gap_does():
