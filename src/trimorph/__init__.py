@@ -41,6 +41,7 @@ _EXPORTS = {
             "TriangularForm",
             "apply",
             "compose",
+            "direct_commute",
             "format_morphism",
             "is_nonsingular",
             "matrix",
@@ -75,9 +76,7 @@ _EXPORTS = {
         ),
         "omega",
     ),
-    **dict.fromkeys(
-        ("CASES", "CommutationReport", "classify", "direct_commute"), "classifier"
-    ),
+    **dict.fromkeys(("CASES", "CommutationReport", "classify"), "classifier"),
     **dict.fromkeys(("Relation", "find_relation", "matrix_collision"), "freeness"),
     **dict.fromkeys(("SweepConfig", "SweepResult", "enumerate_morphisms", "run_sweep"), "sweep"),
 }

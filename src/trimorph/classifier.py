@@ -6,12 +6,12 @@ images are read only to test whether two erasing morphisms' b-images
 commute as words.  It routes every ordered pair into exactly one case,
 evaluates that case's full list of structural conditions without
 short-circuiting, and predicts commutation as their disjunction.
-direct_commute() is the independent oracle: it compares the images of a,
-then of b, under both composition orders, with no structural reasoning.
-The two must agree on every upper triangular pair; the sweep harness
-checks that exhaustively, running the oracle only on the pairs whose
-occurrence matrices commute (a pair whose matrices do not commute cannot
-commute).
+direct_commute(), which lives next to apply in morphisms and is imported
+here, is the independent oracle: it compares the images of a, then of b,
+under both composition orders, with no structural reasoning.  The two must
+agree on every upper triangular pair; the sweep harness checks that
+exhaustively, running the oracle only on the pairs whose occurrence
+matrices commute (a pair whose matrices do not commute cannot commute).
 
 Cases, after normalizing roles (swapped records whether the inputs traded
 places):
@@ -37,14 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .morphisms import (
-    BinaryMorphism,
-    Core,
-    IDENTITY_FORM,
-    TriangularForm,
-    apply,
-    shape_to_word,
-)
+from .morphisms import BinaryMorphism, Core, TriangularForm, direct_commute, shape_to_word
 from .numtheory import Dependent, mult_dependence
 from .omega import exact_gap, exact_gap_sequence, geometric, omega_eventually_periodic
 from .words import SCHEMA_VERSION, BeyondBudget, words_commute
@@ -64,14 +57,6 @@ CASES = (
     CASE_MULT_INDEPENDENT,
     CASE_MULT_DEPENDENT,
 )
-
-
-def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
-    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
-    composed images of a first, then those of b."""
-    return apply(g1, g2.image_a) == apply(g2, g1.image_a) and (
-        apply(g1, g2.image_b) == apply(g2, g1.image_b)
-    )
 
 
 @dataclass(slots=True)
@@ -191,8 +176,10 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     if s == 0:
         block = _match_block_powers(c1, c2) if t == 1 else None
         conditions = {
-            "equal_morphisms": f1 == f2,
-            "partner_is_identity": f2 == IDENTITY_FORM,
+            # s = 0, so the morphisms are equal when t = 0 and the images of
+            # b are.
+            "equal_morphisms": t == 0 and g1.image_b.runs == g2.image_b.runs,
+            "partner_is_identity": f2.is_identity,
             # words_commute is symmetric, so the inputs' order does not matter.
             "erasing_pair_commutes": t == 0 and words_commute(g1.image_b, g2.image_b),
             "both_b_powers": both_b_powers,
@@ -211,7 +198,7 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
         return _report(CASE_BOTH_GAP_ONE, swapped, conditions)
 
     if p == 1:
-        conditions = {"g1_is_identity": f1 == IDENTITY_FORM, "both_b_powers": both_b_powers}
+        conditions = {"g1_is_identity": f1.is_identity, "both_b_powers": both_b_powers}
         return _report(CASE_GAP_ONE_VS_MANY, swapped, conditions)
 
     dep = mult_dependence(p, q)

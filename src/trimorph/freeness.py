@@ -18,35 +18,24 @@ collision-free matrix walk is a sound certificate that no morphism relation
 exists at that depth, while a matrix collision says nothing either way.
 
 The module needs only morphisms and words, so the `free` command loads
-neither the classifier nor dataclasses: SearchAborted and SCHEMA_VERSION
-live in words, and Relation is a plain slotted class, immutable by
-convention.
+neither the classifier nor dataclasses: SearchAborted, SCHEMA_VERSION and
+the Value base of Relation live in words.
 """
 from __future__ import annotations
 
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import MAX_COUNT, SCHEMA_VERSION, CountOverflow, SearchAborted
+from .words import MAX_COUNT, SCHEMA_VERSION, CountOverflow, SearchAborted, Value
 
 
-class Relation:
+class Relation(Value):
     """Sequences over {1, 2} with equal compositions; left was found first."""
 
     __slots__ = ("left", "right")
+    _fields = ("left", "right")
 
     def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
         self.left = left
         self.right = right
-
-    def __eq__(self, other):
-        if other.__class__ is Relation:
-            return self.left == other.left and self.right == other.right
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __repr__(self):
-        return f"Relation(left={self.left!r}, right={self.right!r})"
 
 
 DEFAULT_DEPTH = 6

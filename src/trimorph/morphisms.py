@@ -13,9 +13,9 @@ either a b-free word a^e or the padded block form
 with p >= 1 occurrences of b.  TriangularForm captures that decomposition
 exactly and reconstructs the morphism from it.
 
-The value types are plain classes, immutable by convention, with the
-equality, hash and repr a frozen dataclass would give them: every command
-builds them, and dataclasses is too costly to import on each one.
+direct_commute is the brute-force oracle every structural claim is checked
+against: it applies each morphism to the other's images, with no
+structural reasoning, so the `check` command needs no other module.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .words import (
     CountOverflow,
     ParseError,
     Run,
+    Value,
     Word,
     WORD_A,
     WORD_B,
@@ -42,21 +43,12 @@ class NotUpperTriangular(ValueError):
     """The image of a contains b, so no triangular decomposition exists."""
 
 
-class BinaryMorphism:
+class BinaryMorphism(Value):
+    _fields = ("image_a", "image_b")
+
     def __init__(self, image_a: Word, image_b: Word):
         self.image_a = image_a
         self.image_b = image_b
-
-    def __eq__(self, other):
-        if other.__class__ is BinaryMorphism:
-            return self.image_a == other.image_a and self.image_b == other.image_b
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.image_a, self.image_b))
-
-    def __repr__(self):
-        return f"BinaryMorphism(image_a={self.image_a!r}, image_b={self.image_b!r})"
 
     @cached_property
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -102,6 +94,14 @@ def apply(g: BinaryMorphism, w: Word) -> Word:
     return Word(tuple(out))
 
 
+def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
+    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
+    composed images of a first, then those of b."""
+    return apply(g1, g2.image_a).runs == apply(g2, g1.image_a).runs and (
+        apply(g1, g2.image_b).runs == apply(g2, g1.image_b).runs
+    )
+
+
 def compose(g1: BinaryMorphism, g2: BinaryMorphism) -> BinaryMorphism:
     """The product g1 g2, applying g2 first."""
     return BinaryMorphism(apply(g1, g2.image_a), apply(g1, g2.image_b))
@@ -124,24 +124,14 @@ def mat_mul(x: tuple, y: tuple) -> tuple:
     return ((aa * xa + ab * ya, aa * xb + ab * yb), (ba * xa + bb * ya, ba * xb + bb * yb))
 
 
-class MorphMatrix:
+class MorphMatrix(Value):
     """2x2 occurrence matrix: rows[i][j] counts letter i in the image of letter j."""
 
     __slots__ = ("rows",)
+    _fields = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, int], tuple[int, int]]):
         self.rows = rows
-
-    def __eq__(self, other):
-        if other.__class__ is MorphMatrix:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"MorphMatrix(rows={self.rows!r})"
 
     def det(self) -> int:
         (aa, ab), (ba, bb) = self.rows
@@ -166,27 +156,17 @@ def is_nonsingular(g: BinaryMorphism) -> bool:
     return matrix(g).det() != 0
 
 
-class BOnly:
+class BOnly(Value):
     """A b-free image of b: the word a^e."""
 
     __slots__ = ("e",)
+    _fields = ("e",)
 
     def __init__(self, e: int):
         self.e = e
 
-    def __eq__(self, other):
-        if other.__class__ is BOnly:
-            return self.e == other.e
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(self.e)
-
-    def __repr__(self):
-        return f"BOnly(e={self.e!r})"
-
-
-class Core:
+class Core(Value):
     """Image of b with p >= 1 occurrences of b.
 
     gamma1 and gamma2 count the a-padding before the first and after the
@@ -195,27 +175,13 @@ class Core:
     """
 
     __slots__ = ("gamma1", "alphas", "gamma2", "p")
+    _fields = ("gamma1", "alphas", "gamma2")
 
     def __init__(self, gamma1: int, alphas: tuple[int, ...], gamma2: int):
         self.gamma1 = gamma1
         self.alphas = alphas
         self.gamma2 = gamma2
         self.p = len(alphas) + 1
-
-    def __eq__(self, other):
-        if other.__class__ is Core:
-            return (
-                self.gamma1 == other.gamma1
-                and self.gamma2 == other.gamma2
-                and self.alphas == other.alphas
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.gamma1, self.alphas, self.gamma2))
-
-    def __repr__(self):
-        return f"Core(gamma1={self.gamma1!r}, alphas={self.alphas!r}, gamma2={self.gamma2!r})"
 
     @property
     def uniform_gap(self) -> int | None:
@@ -258,23 +224,14 @@ def shape_to_word(shape: BOnly | Core) -> Word:
     return Word(tuple(out))
 
 
-class TriangularForm:
+class TriangularForm(Value):
     """Canonical data of an upper triangular morphism: a -> a^s plus the b-image shape."""
+
+    _fields = ("s", "bpart")
 
     def __init__(self, s: int, bpart: BOnly | Core):
         self.s = s
         self.bpart = bpart
-
-    def __eq__(self, other):
-        if other.__class__ is TriangularForm:
-            return self.s == other.s and self.bpart == other.bpart
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.bpart))
-
-    def __repr__(self):
-        return f"TriangularForm(s={self.s!r}, bpart={self.bpart!r})"
 
     @cached_property
     def b_count(self) -> int:
@@ -295,6 +252,11 @@ class TriangularForm:
         return 1 if self.s == 0 else 1 + self.bpart.p
 
     @cached_property
+    def is_identity(self) -> bool:
+        """True iff the form is a -> a, b -> b."""
+        return self.s == 1 and self.b_count == 1 and self.a_count == 0
+
+    @cached_property
     def power_counts(self) -> dict[int, tuple[int, int, int]]:
         """The outer counts of g^k by k, as classifier._power_counts computes them."""
         return {}
@@ -304,9 +266,6 @@ class TriangularForm:
 
     def to_morphism(self) -> BinaryMorphism:
         return BinaryMorphism(Word.single(A, self.s), shape_to_word(self.bpart))
-
-
-IDENTITY_FORM = TriangularForm(1, Core(0, (), 0))
 
 
 def to_triangular(g: BinaryMorphism) -> TriangularForm:

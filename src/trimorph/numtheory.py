@@ -5,13 +5,14 @@ Every integer n >= 2 has a unique primitive root d with n = d^e, e maximal
 multiplicatively dependent exactly when they share that root, and then the
 canonical witness p = r^m, q = r^n with gcd(m, n) = 1 comes from dividing
 both exponents by their gcd.  Inputs past 2^64 - 1 raise CountOverflow.
+The answer is a value (see words.Value): INDEPENDENT or that Dependent.
 """
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
 
-from .words import MAX_COUNT, CountOverflow
+from .words import MAX_COUNT, CountOverflow, Value
 
 # Primes up to 64: exponents of perfect powers below 2^64 factor over these.
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
@@ -44,41 +45,18 @@ def _residue_filter(exp: int) -> tuple[int, frozenset[int]]:
     return m, frozenset(pow(x, exp, m) for x in range(m))
 
 
-# Plain classes, immutable by convention, with the equality, hash and repr
-# of a frozen dataclass.
-class Independent:
+class Independent(Value):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is Independent:
-            return True
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "Independent()"
-
-
-class Dependent:
+class Dependent(Value):
     __slots__ = ("r", "m", "n")
+    _fields = ("r", "m", "n")
 
     def __init__(self, r: int, m: int, n: int):
         self.r = r
         self.m = m
         self.n = n
-
-    def __eq__(self, other):
-        if other.__class__ is Dependent:
-            return self.r == other.r and self.m == other.m and self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.m, self.n))
-
-    def __repr__(self):
-        return f"Dependent(r={self.r!r}, m={self.m!r}, n={self.n!r})"
 
 
 MultDependence = Independent | Dependent

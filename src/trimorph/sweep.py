@@ -24,8 +24,8 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import product
 
-from .classifier import classify, direct_commute
-from .morphisms import BinaryMorphism, Core, format_morphism, shape_to_word
+from .classifier import classify
+from .morphisms import BinaryMorphism, Core, direct_commute, format_morphism, shape_to_word
 from .words import SCHEMA_VERSION, A, BeyondBudget, Word
 
 # About forty times the default sweep's 234,256 pairs.

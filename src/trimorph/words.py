@@ -11,14 +11,14 @@ search.
 
 This is the bottom layer: the command line imports it, and nothing else,
 before it knows which command runs, so it also holds the record
-SCHEMA_VERSION and the word predicate a_conjugates.  Word is a plain
-slotted class, immutable by convention, because a dataclass would import
-dataclasses on every command.
+SCHEMA_VERSION, the word predicate a_conjugates and Value, the base of
+every value type.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import groupby
+from operator import attrgetter
 
 A = "a"
 B = "b"
@@ -84,29 +84,53 @@ def push_run(runs: list[Run], letter: str, count: int) -> None:
         runs.append((letter, count))
 
 
-class Word:
-    """An element of {a,b}* in run-length normal form.
+class Value:
+    """Base of the value types: equality, hash and repr as a frozen
+    dataclass derives them from the fields named in _fields.
 
-    The constructor trusts its argument; use from_runs or parse for
-    unnormalized input.  Words are immutable by convention: nothing
-    assigns runs after construction.
+    Two values are equal only when they are of the same class with equal
+    fields, the hash is that of the field values, and the repr is
+    Name(field=value, ...).  A subclass assigns its fields in its own
+    __init__ and nothing assigns them after, so values are immutable by
+    convention.  It is a plain class because every command builds values,
+    and importing dataclasses would cost each one a few milliseconds.
     """
 
-    __slots__ = ("runs",)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __init__(self, runs: tuple[Run, ...] = ()):
-        self.runs = runs
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # The field values as one object: attrgetter gives the value itself
+        # for one name and a tuple for more.  A loop over the names would
+        # cost about four times as much on every comparison.
+        cls._key = staticmethod(attrgetter(*cls._fields) if cls._fields else lambda value: ())
 
     def __eq__(self, other):
-        if other.__class__ is Word:
-            return self.runs == other.runs
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.runs)
+        return hash(self._key(self))
 
     def __repr__(self):
-        return f"Word(runs={self.runs!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class Word(Value):
+    """An element of {a,b}* in run-length normal form.
+
+    The constructor trusts its argument; use from_runs or parse for
+    unnormalized input.
+    """
+
+    __slots__ = ("runs",)
+    _fields = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...] = ()):
+        self.runs = runs
 
     @staticmethod
     def from_runs(items: Iterable[Run]) -> "Word":

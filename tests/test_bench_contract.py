@@ -39,6 +39,14 @@ def test_every_traced_name_exists():
     assert missing == []
 
 
+def test_the_classifier_binds_the_oracle_of_morphisms():
+    # The tracer wraps every binding of the one object, so
+    # classifier.direct_commute counts the oracle calls the sweep makes.
+    from trimorph import classifier, morphisms, sweep
+
+    assert classifier.direct_commute is morphisms.direct_commute is sweep.direct_commute
+
+
 def test_replace_flips_one_field_of_a_report():
     # perfbench/test_perfbench.py flips a prediction with dataclasses.replace.
     report = classify(parse_morphism("a=a,b=bab"), parse_morphism("a=a,b=bababab"))

@@ -210,6 +210,51 @@ def test_roles_match_the_spelled_out_rule(f1, f2):
     assert (report.swapped, report.case) == spelled_out_roles(f1, f2)
 
 
+IDENTITY_FORM = TriangularForm(1, Core(0, (), 0))
+
+
+@st.composite
+def forms_with_same_b_image(draw):
+    f = draw(any_forms())
+    return f, TriangularForm(draw(st.integers(0, 2)), f.bpart)
+
+
+# The identity, and forms that miss it by one exponent, padding or b.
+near_identity_forms = st.builds(
+    lambda s, g1, extra_bs, g2: TriangularForm(s, Core(g1, (0,) * extra_bs, g2)),
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.integers(0, 1),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(any_forms(), any_forms()),
+        forms_with_same_b_image(),
+        any_forms().map(lambda f: (f, IDENTITY_FORM)),
+        any_forms().map(lambda f: (IDENTITY_FORM, f)),
+        st.tuples(any_forms(), near_identity_forms),
+        st.tuples(near_identity_forms, any_forms()),
+    )
+)
+@settings(max_examples=500)
+def test_equality_and_identity_conditions_match_form_equality(pair):
+    # classify reads cached integers for these three conditions; the forms'
+    # own equality is the reference.
+    report = classify(pair[0].to_morphism(), pair[1].to_morphism())
+    f1, f2 = reversed(pair) if report.swapped else pair
+    expected = {
+        CASE_SINGULAR_A_IMAGE: {
+            "equal_morphisms": f1 == f2,
+            "partner_is_identity": f2 == IDENTITY_FORM,
+        },
+        CASE_GAP_ONE_VS_MANY: {"g1_is_identity": f1 == IDENTITY_FORM},
+    }.get(report.case, {})
+    assert {name: report.conditions[name] for name in expected} == expected
+
+
 def test_report_record_shape():
     record = classify(m("a=a,b=bab"), m("a=a,b=bab")).to_record()
     assert record["schema"] == 1

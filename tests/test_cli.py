@@ -99,6 +99,17 @@ def test_gaps_closed_and_direct_agree(capsys):
     assert closed == direct
 
 
+def test_gaps_direct_budget_bounds_upto_not_the_bs_of_the_image(capsys):
+    # 1000 b's in h(b) times 4001 gaps passes the budget, but the expansion
+    # reads fewer than 4001 + 1000 gaps.
+    h = "a=a,b=" + "ba" * 999 + "b"
+    code, direct, _ = run(capsys, "gaps", h, "--upto", "4001", "--direct")
+    assert code == 0
+    code, closed, _ = run(capsys, "gaps", h, "--upto", "4001")
+    assert code == 0
+    assert direct == closed and len(direct.split()) == 4001
+
+
 def test_gaps_json_record(capsys):
     code, out, _ = run(capsys, "gaps", "a=a,b=babaab", "--upto", "6", "--json")
     assert code == 0
@@ -305,10 +316,9 @@ def test_classify_beyond_the_gap_budget_exits_three(capsys):
             f"--upto {cli.MAX_GAPS + 1} exceeds the gaps budget of {cli.MAX_GAPS}",
         ),
         (
-            # Three b's: the expansion would read up to 3 * upto gaps.
-            ("gaps", "a=aaa,b=babab", "--direct", "--upto", str(cli.MAX_DIRECT_GAPS // 3 + 1)),
-            f"--upto {cli.MAX_DIRECT_GAPS // 3 + 1} with 3 b's in h(b) exceeds the direct "
-            f"gaps budget of {cli.MAX_DIRECT_GAPS} gaps read",
+            ("gaps", "a=aaa,b=babab", "--direct", "--upto", str(cli.MAX_DIRECT_GAPS + 1)),
+            f"--upto {cli.MAX_DIRECT_GAPS + 1} exceeds the direct gaps budget of "
+            f"{cli.MAX_DIRECT_GAPS}",
         ),
     ],
     ids=["omega-len", "gaps-upto", "gaps-direct-upto"],
@@ -407,8 +417,8 @@ def test_package_import_loads_no_submodule():
     assert loaded_modules(code) == []
 
 
-# What every command but check, classify, sweep and examples leaves
-# unloaded; check runs the oracle, which lives in the classifier.
+# What every command but classify, sweep and examples leaves unloaded; check
+# runs the oracle, which lives next to apply in morphisms.
 LIGHT = ("dataclasses", "trimorph.classifier", "trimorph.sweep")
 
 
@@ -420,7 +430,7 @@ LIGHT = ("dataclasses", "trimorph.classifier", "trimorph.sweep")
         (("multdep", "8", "32", "--json"), LIGHT),
         (("conjugate", "abb", "bba"), LIGHT),
         (("free", "a=aa,b=bb", "a=aa,b=abb", "--depth", "4"), LIGHT),
-        (("check", "a=a,b=bab", "a=a,b=bababab"), ("trimorph.sweep", "trimorph.freeness")),
+        (("check", "a=a,b=bab", "a=a,b=bababab"), LIGHT + ("trimorph.omega", "trimorph.numtheory")),
     ],
     ids=["omega", "gaps", "multdep", "conjugate", "free", "check"],
 )

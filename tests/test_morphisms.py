@@ -210,6 +210,24 @@ def test_rank_of_each_kind_of_form(form, rank):
     assert form.rank == rank
 
 
+@pytest.mark.parametrize(
+    "form, identity",
+    [
+        (TriangularForm(1, Core(0, (), 0)), True),
+        (TriangularForm(0, Core(0, (), 0)), False),
+        (TriangularForm(2, Core(0, (), 0)), False),
+        (TriangularForm(1, Core(1, (), 0)), False),
+        (TriangularForm(1, Core(0, (), 1)), False),
+        (TriangularForm(1, Core(0, (0,), 0)), False),
+        (TriangularForm(1, BOnly(0)), False),
+        (TriangularForm(1, BOnly(1)), False),
+    ],
+)
+def test_is_identity_of_each_kind_of_form(form, identity):
+    assert form.is_identity is identity
+    assert (form.to_morphism() == IDENTITY) is identity
+
+
 @given(triangular_morphisms(max_s=2, max_image=4), st.integers(1, 4))
 def test_b_count_grows_geometrically(g, n):
     form = to_triangular(g)

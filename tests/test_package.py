@@ -114,3 +114,15 @@ def test_cached_properties_work_on_plain_classes(u, v):
     assert form.b_count == v.occ("b") and form.to_morphism() == g
     if isinstance(form.bpart, Core):
         assert form.bpart.p == len(form.bpart.alphas) + 1 == v.occ("b")
+
+
+def test_value_types_take_equality_hash_and_repr_from_the_base():
+    from trimorph.words import Value
+
+    for cls in FIELDS:
+        assert issubclass(cls, Value)
+        own = {"__eq__", "__hash__", "__repr__"} & set(vars(cls))
+        assert own == set(), cls.__name__
+    # Equal field values in two classes do not make equal values.
+    rows = ((1, 0), (0, 1))
+    assert Word(rows) != MorphMatrix(rows) and MorphMatrix(rows) != Word(rows)
