@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .morphisms import BinaryMorphism, Core, TriangularForm, direct_commute, shape_to_word
 from .numtheory import Dependent, mult_dependence
-from .omega import exact_gap, exact_gap_sequence, geometric, omega_eventually_periodic
+from .omega import class_gap, exact_gap_sequence, geometric, omega_eventually_periodic
 from .words import SCHEMA_VERSION, BeyondBudget, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
@@ -97,14 +97,10 @@ def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
     """(s^k, gamma1 G(s, k), gamma2 G(s, k)) as exact integers: the a-count
     of g^k(a) and the outer a-padding of g^k(b), where g^k(b) =
     a^(gamma1 G) (the prefix of omega(g) through its p^k-th b) a^(gamma2 G).
-    Memoised on the form.
     """
-    counts = form.power_counts.get(k)
-    if counts is None:
-        core = form.bpart
-        factor = geometric(form.s, k)
-        counts = form.power_counts[k] = (form.s**k, core.gamma1 * factor, core.gamma2 * factor)
-    return counts
+    core = form.bpart
+    factor = geometric(form.s, k)
+    return form.s**k, core.gamma1 * factor, core.gamma2 * factor
 
 
 def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) -> bool:
@@ -113,9 +109,10 @@ def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) 
 
     Write i = r^k j with r not dividing j.  The valuation of i in base r^m
     is k // m and its lowest nonzero digit is r^(k mod m) j mod r^m, so
-    gap(f1, i) depends only on k and j mod r^m; likewise gap(f2, i) on k
-    and j mod r^n.  One j below r^N per class settles every index, N =
-    max(m, n): exactly W = (mn - N + 1)(r - 1) r^(N-1) + r^(N-1) - 1
+    gap(f1, i) is class_gap(f1, k // m, that digit) and depends only on k
+    and j mod r^m; likewise gap(f2, i) on k and j mod r^n.  One j below
+    r^N per class settles every index, N = max(m, n), and i itself is
+    never built: exactly W = (mn - N + 1)(r - 1) r^(N-1) + r^(N-1) - 1
     comparisons.  Raises BeyondBudget when W exceeds 64 r^N, 64 per b of
     the larger b-image; every pair whose power images hold at most 2^64
     b's is within it.
@@ -128,10 +125,11 @@ def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) 
             f"classify needs {work} gap comparisons, beyond its budget of {budget} "
             "(64 per b of the larger image of b)"
         )
+    p, q = r**m, r**n
     for k in range(mn):
-        rk = r**k
+        v1, shift1, v2, shift2 = k // m, r ** (k % m), k // n, r ** (k % n)
         for j in range(1, r ** min(big, mn - k)):
-            if j % r and exact_gap(f1, rk * j) != exact_gap(f2, rk * j):
+            if j % r and class_gap(f1, v1, shift1 * j % p) != class_gap(f2, v2, shift2 * j % q):
                 return False
     return True
 

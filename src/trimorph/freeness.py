@@ -24,7 +24,7 @@ the Value base of Relation live in words.
 from __future__ import annotations
 
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import MAX_COUNT, SCHEMA_VERSION, CountOverflow, SearchAborted, Value
+from .words import MAX_COUNT, SCHEMA_VERSION, SearchAborted, Value
 
 
 class Relation(Value):
@@ -66,7 +66,9 @@ def _first_collision(
     matrix products coincide and, when exact, whose compositions coincide
     too; None when there is none.  An exact walk builds words with 64-bit
     counts, so it aborts at the first sequence whose matrix holds an entry
-    beyond MAX_COUNT: no letter of that composition can be counted.
+    beyond MAX_COUNT: no letter of that composition can be counted.  Every
+    sequence it composes, prefixes included, passed that check, and no run
+    count of a composition exceeds an entry of its matrix.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -98,13 +100,10 @@ def _first_collision(
                 # Equal compositions have equal matrices, so the first sequence
                 # of a matrix enters seen, once, when the matrix first repeats;
                 # None then marks the matrix as entered.
-                try:
-                    if earlier is not None:
-                        seen[_composition(earlier, gens, products)] = earlier
-                        first[mat] = None
-                    found = seen.setdefault(_composition(seq, gens, products), seq)
-                except CountOverflow as exc:
-                    raise SearchAborted(length) from exc
+                if earlier is not None:
+                    seen[_composition(earlier, gens, products)] = earlier
+                    first[mat] = None
+                found = seen.setdefault(_composition(seq, gens, products), seq)
                 if found is not seq:
                     return found, seq
         level = nxt

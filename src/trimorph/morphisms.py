@@ -170,11 +170,13 @@ class Core(Value):
     """Image of b with p >= 1 occurrences of b.
 
     gamma1 and gamma2 count the a-padding before the first and after the
-    last b; alphas lists the p - 1 interior a-gaps in order.  p is derived
-    from alphas, so it takes no part in equality, hash or repr.
+    last b; alphas lists the p - 1 interior a-gaps in order.  p and
+    uniform_gap are derived once in __init__, so they take no part in
+    equality, hash or repr: uniform_gap is the shared interior gap alpha
+    when the image is (b a^alpha)^(p-1) b, and None otherwise.
     """
 
-    __slots__ = ("gamma1", "alphas", "gamma2", "p")
+    __slots__ = ("gamma1", "alphas", "gamma2", "p", "uniform_gap")
     _fields = ("gamma1", "alphas", "gamma2")
 
     def __init__(self, gamma1: int, alphas: tuple[int, ...], gamma2: int):
@@ -182,13 +184,8 @@ class Core(Value):
         self.alphas = alphas
         self.gamma2 = gamma2
         self.p = len(alphas) + 1
-
-    @property
-    def uniform_gap(self) -> int | None:
-        """The shared interior gap of (b a^alpha)^(p-1) b, or None if not of that shape."""
-        if self.gamma1 or self.gamma2 or len(set(self.alphas)) != 1:
-            return None
-        return self.alphas[0]
+        uniform = not gamma1 and not gamma2 and len(set(alphas)) == 1
+        self.uniform_gap = alphas[0] if uniform else None
 
 
 def b_image_shape(w: Word) -> BOnly | Core:
@@ -225,41 +222,28 @@ def shape_to_word(shape: BOnly | Core) -> Word:
 
 
 class TriangularForm(Value):
-    """Canonical data of an upper triangular morphism: a -> a^s plus the b-image shape."""
+    """Canonical data of an upper triangular morphism: a -> a^s plus the b-image shape.
 
+    The counts are derived once in __init__ and take no part in equality,
+    hash or repr: b_count and a_count are the occurrences of b and of a in
+    the image of b; rank is the form's place in classify's role order, 0
+    for a b-free image of b, 1 for an empty image of a, otherwise 1 + p;
+    is_identity is True iff the form is a -> a, b -> b.
+    """
+
+    __slots__ = ("s", "bpart", "b_count", "a_count", "rank", "is_identity")
     _fields = ("s", "bpart")
 
     def __init__(self, s: int, bpart: BOnly | Core):
         self.s = s
         self.bpart = bpart
-
-    @cached_property
-    def b_count(self) -> int:
-        return self.bpart.p if isinstance(self.bpart, Core) else 0
-
-    @cached_property
-    def a_count(self) -> int:
-        """Occurrences of a in the image of b."""
-        part = self.bpart
-        return part.e if isinstance(part, BOnly) else part.gamma1 + sum(part.alphas) + part.gamma2
-
-    @cached_property
-    def rank(self) -> int:
-        """The form's place in classify's role order: 0 for a b-free image
-        of b, 1 for an empty image of a, otherwise 1 + p."""
-        if isinstance(self.bpart, BOnly):
-            return 0
-        return 1 if self.s == 0 else 1 + self.bpart.p
-
-    @cached_property
-    def is_identity(self) -> bool:
-        """True iff the form is a -> a, b -> b."""
-        return self.s == 1 and self.b_count == 1 and self.a_count == 0
-
-    @cached_property
-    def power_counts(self) -> dict[int, tuple[int, int, int]]:
-        """The outer counts of g^k by k, as classifier._power_counts computes them."""
-        return {}
+        if isinstance(bpart, BOnly):
+            self.b_count, self.a_count, self.rank = 0, bpart.e, 0
+        else:
+            self.b_count = bpart.p
+            self.a_count = bpart.gamma1 + sum(bpart.alphas) + bpart.gamma2
+            self.rank = 1 if s == 0 else 1 + bpart.p
+        self.is_identity = s == 1 and self.b_count == 1 and self.a_count == 0
 
     def is_nonsingular(self) -> bool:
         return self.s >= 1 and isinstance(self.bpart, Core)

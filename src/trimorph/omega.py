@@ -8,24 +8,24 @@ letter to the infinite word
     omega(h) = b v h(v) h^2(v) h^3(v) ...
 
 which satisfies h(omega) = a^gamma1 omega.  The word is expanded literally
-in one place, piece by piece, and read two ways: omega_prefix appends the
-pieces, gap_sequence_direct reads their gaps.  Its structure is carried by
-the gap sequence: gap(h, i) counts the a's between the i-th and (i+1)-th b of
-omega(h).  With p >= 2 occurrences of b in h(b), interior gaps alpha_1 ...
-alpha_(p-1), and i = p^m * j with j not divisible by p and lowest nonzero
-base-p digit d, the gaps obey
+piece by piece and read two ways: omega_prefix appends the pieces,
+gap_sequence_direct reads their gaps.  Both take v and h from _expansion,
+which checks the form, and expand only what they keep of each piece.  Its
+structure is carried by the gap sequence: gap(h, i) counts the a's between
+the i-th and (i+1)-th b of omega(h).  With p >= 2 occurrences of b in
+h(b), interior gaps alpha_1 ... alpha_(p-1), and i = p^m * j with j not
+divisible by p and lowest nonzero base-p digit d, the gaps obey
 
     gap(h, i) = alpha_d * s^m + (gamma1 + gamma2) * G(s, m)
 
-where G(s, m) = m when s = 1 and (s^m - 1)/(s - 1) otherwise.  The word is
+where G(s, m) = m when s = 1 and (s^m - 1)/(s - 1) otherwise: class_gap
+evaluates it for one class (m, d), exact_gap for one index i.  The word is
 eventually periodic exactly when gamma1 = gamma2 = 0 and all interior gaps
 agree, in which case omega(h) = (b a^alpha)^infinity.
 """
 from __future__ import annotations
 
-from collections.abc import Generator
-
-from .morphisms import Core, TriangularForm, apply, b_image_shape, shape_to_word
+from .morphisms import BinaryMorphism, Core, TriangularForm, apply, b_image_shape, shape_to_word
 from .numtheory import val_and_digit
 from .words import (
     A,
@@ -69,54 +69,40 @@ def _head(w: Word, sizes: dict[str, int], n: int) -> Word:
     return w
 
 
-def _pieces(form: TriangularForm, unit: str) -> Generator[Word, int, None]:
-    """The pieces v, h(v), h^2(v), ... of omega(h), each computed only when
-    asked for; the form is checked at the call, not at the first piece.
-
-    next() gives v.  Each later piece is asked for with send(n) and cut to
-    a prefix holding at least its first n letters (unit A) or its first n
-    b's (unit B).  A nonsingular h erases no letter, so that prefix of
-    h(v) is h(u) for the shortest prefix u of v whose image is long enough,
-    and only u is expanded.
-    """
+def _expansion(form: TriangularForm) -> tuple[Word, BinaryMorphism]:
+    """The first piece v of omega(h) and h itself.  The pieces after v are
+    h(v), h^2(v), ...; a nonsingular h erases no letter, so a prefix of the
+    next piece long enough for the caller is h(u) for the shortest prefix u
+    of the current piece whose image is long enough (see _head), and only
+    u is expanded."""
     if not form.is_nonsingular():
         raise NotApplicable("omega needs a nonsingular form")
     tail = right_tail(form)
     if tail.is_empty():
         raise OmegaUndefined("h(b) = a^gamma1 b has an empty tail")
-    h = form.to_morphism()
-    if unit == A:
-        sizes = {A: form.s, B: form.a_count + form.b_count}
-    else:
-        sizes = {A: 0, B: form.b_count}
-
-    def expand() -> Generator[Word, int, None]:
-        v = tail
-        while True:
-            v = apply(h, _head(v, sizes, (yield v)))
-
-    return expand()
+    return tail, form.to_morphism()
 
 
 def omega_prefix(form: TriangularForm, n: int) -> Word:
     """The first n letters of omega(h)."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    pieces = _pieces(form, A)
+    piece, h = _expansion(form)
     if n == 0:
         return Word()
     if form.b_count == 1:
         # Every piece is a power of a, so omega(h) = b a^infinity.
         return Word.from_runs(((B, 1), (A, n - 1)))
+    sizes = {A: form.s, B: form.a_count + form.b_count}
     acc, held = Word(((B, 1),)), 1
-    piece = next(pieces)
     while True:
         piece = take_prefix(piece, n - held)
         acc = concat(acc, piece)
         held += piece.length()
         if held >= n:
             return acc
-        piece = pieces.send(n - held)
+        # The cut kept all of piece, so the next piece starts with its image.
+        piece = apply(h, _head(piece, sizes, n - held))
 
 
 def _require_gapped(form: TriangularForm) -> Core:
@@ -134,13 +120,20 @@ def geometric(s: int, m: int) -> int:
     return m if s == 1 else (s**m - 1) // (s - 1)
 
 
+def class_gap(form: TriangularForm, m: int, d: int) -> int:
+    """gap(form, i) for every i of base-p valuation m and lowest nonzero
+    base-p digit d, as an exact integer; the form and the class are not
+    checked."""
+    core = form.bpart
+    return core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
+
+
 def exact_gap(form: TriangularForm, i: int) -> int:
     """gap(form, i) as an exact integer, with no 64-bit bound."""
     core = _require_gapped(form)
     if i < 1:
         raise ValueError("i must be positive")
-    m, d = val_and_digit(i, core.p)
-    return core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
+    return class_gap(form, *val_and_digit(i, core.p))
 
 
 def gap(form: TriangularForm, i: int) -> int:
@@ -190,12 +183,12 @@ def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
     _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    pieces = _pieces(form, B)
+    piece, h = _expansion(form)
     gaps: list[int] = []
     if upto == 0:
         return gaps
+    sizes = {A: 0, B: form.b_count}
     pending = 0
-    piece = next(pieces)
     while True:
         shape = b_image_shape(piece)
         gaps.append(checked_add(pending, shape.gamma1))
@@ -204,7 +197,7 @@ def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
             del gaps[upto:]
             return gaps
         pending = shape.gamma2
-        piece = pieces.send(upto - len(gaps))
+        piece = apply(h, _head(piece, sizes, upto - len(gaps)))
 
 
 def omega_eventually_periodic(form: TriangularForm) -> bool:

@@ -90,9 +90,12 @@ class Value:
 
     Two values are equal only when they are of the same class with equal
     fields, the hash is that of the field values, and the repr is
-    Name(field=value, ...).  A subclass assigns its fields in its own
-    __init__ and nothing assigns them after, so values are immutable by
-    convention.  It is a plain class because every command builds values,
+    Name(field=value, ...).  A subclass assigns its fields, and any value
+    it derives from them, in its own __init__ and nothing assigns them
+    after, so values are immutable by convention.  Each subclass lists them
+    all in __slots__, so it refuses any other attribute; BinaryMorphism
+    alone keeps a __dict__, for the rows and form it computes lazily.  It
+    is a plain class because every command builds values,
     and importing dataclasses would cost each one a few milliseconds.
     """
 

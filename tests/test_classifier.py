@@ -470,7 +470,7 @@ def test_mult_dependent_constant_gaps_match_the_oracle(monkeypatch, g1, g2):
 def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):
     # Distinct sentinel forms and a gap that returns its form settle
     # _gaps_agree at the first comparison, once it passes the budget.
-    monkeypatch.setattr(classifier, "exact_gap", lambda form, i: form)
+    monkeypatch.setattr(classifier, "class_gap", lambda form, m, d: form)
     admitted = 0
     for r in range(2, 1024):
         for n in range(1, 65):
@@ -487,7 +487,7 @@ def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):
 def test_gap_comparisons_are_exactly_counted(monkeypatch, r, m_, n):
     # Equal gaps everywhere make _gaps_agree compare every class.
     calls = []
-    monkeypatch.setattr(classifier, "exact_gap", lambda form, i: calls.append(i) or 0)
+    monkeypatch.setattr(classifier, "class_gap", lambda form, m, d: calls.append(d) or 0)
     assert classifier._gaps_agree(object(), object(), r, m_, n)
     big = max(m_, n)
     work = (m_ * n - big + 1) * (r - 1) * r ** (big - 1) + r ** (big - 1) - 1
@@ -504,8 +504,6 @@ def literal_power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
 def assert_power_counts(form: TriangularForm, k: int) -> None:
     expected = literal_power_counts(form, k)
     assert _power_counts(form, k) == expected
-    assert form.power_counts[k] == expected
-    assert _power_counts(form, k) == expected  # read from the memo
 
 
 def test_memoised_power_counts_match_literal_powers_on_the_default_sweep():

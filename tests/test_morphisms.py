@@ -176,9 +176,9 @@ def assert_cached_invariants(form: TriangularForm, image_b: Word) -> None:
     assert (form.a_count, form.b_count) == counts
     if isinstance(form.bpart, Core):
         assert form.bpart.p == len(form.bpart.alphas) + 1
-    # The second read comes from the values cached on the form.
-    assert {"a_count", "b_count"} <= vars(form).keys()
-    assert (form.a_count, form.b_count) == counts
+    # The counts are slots that __init__ set, not values computed on read.
+    assert {"a_count", "b_count", "rank", "is_identity"} <= set(TriangularForm.__slots__)
+    assert not hasattr(form, "__dict__")
 
 
 def test_cached_invariants_on_the_default_sweep():
@@ -194,6 +194,24 @@ def test_cached_invariants_match_the_image_of_b(g):
 @given(gapped_forms())
 def test_cached_invariants_of_gapped_forms(form):
     assert_cached_invariants(form, form.to_morphism().image_b)
+
+
+@pytest.mark.parametrize("value", [TriangularForm(1, Core(0, (2,), 1)), Core(0, (2,), 1)])
+def test_forms_refuse_a_new_attribute(value):
+    # No memo can be written into a form from outside.
+    with pytest.raises(AttributeError):
+        value.memo = {}
+
+
+@given(
+    st.integers(0, 2),
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.integers(0, 2),
+)
+def test_uniform_gap_is_the_shared_interior_gap_of_an_unpadded_core(gamma1, alphas, gamma2):
+    core = Core(gamma1, alphas, gamma2)
+    shared = gamma1 == gamma2 == 0 and len(alphas) >= 1 and all(x == alphas[0] for x in alphas)
+    assert core.uniform_gap == (alphas[0] if shared else None)
 
 
 @pytest.mark.parametrize(

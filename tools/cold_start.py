@@ -2,7 +2,8 @@
 
 Each command line call starts a fresh interpreter, so its latency is mostly
 start-up and imports.  This runs the benchmark's eight CLI commands (the
-README transcript plus conjugate and examples) in fresh interpreters,
+README transcript plus conjugate and examples), read from CLI_CASES in
+perfbench/workloads.py so the two cannot drift, in fresh interpreters,
 alternating the two checkouts in every round and which goes first, and
 prints for each command and checkout the minimum and median wall time,
 then the sum of the per-command minima:
@@ -15,6 +16,7 @@ print different output for some command.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import statistics
 import subprocess
@@ -22,16 +24,19 @@ import sys
 import time
 from pathlib import Path
 
-COMMANDS = (
-    ("check", "a=a,b=bab", "a=a,b=bababab"),
-    ("classify", "a=a,b=baab", "a=a,b=baabaab"),
-    ("omega", "a=aa,b=abaaab", "--len", "30"),
-    ("gaps", "a=aa,b=abaaab", "--upto", "10"),
-    ("multdep", "8", "32", "--json"),
-    ("conjugate", "abb", "bba"),
-    ("free", "a=aa,b=bb", "a=aa,b=abb", "--depth", "4"),
-    ("examples",),
-)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def cli_commands() -> tuple[tuple[str, ...], ...]:
+    """The argv of each of the benchmark's CLI_CASES, read from the file
+    without importing the benchmark."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_CASES"]:
+            return tuple(ast.literal_eval(case.elts[0]) for case in node.value.elts)
+    raise SystemExit(f"{WORKLOADS} defines no CLI_CASES")
+
+
+COMMANDS = cli_commands()
 
 # How the benchmark starts the entry point; `-m` would also load runpy.
 RUN = "import trimorph.cli; trimorph.cli.console_main()"
