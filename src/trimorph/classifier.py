@@ -7,7 +7,7 @@ commute as words.  It routes every ordered pair into exactly one case,
 evaluates that case's full list of structural conditions without
 short-circuiting, and predicts commutation as their disjunction.
 direct_commute(), which lives next to apply in morphisms and is imported
-here, is the independent oracle: it compares the images of a, then of b,
+here, is the independent oracle: it compares the images of b, then of a,
 under both composition orders, with no structural reasoning.  The two must
 agree on every upper triangular pair; the sweep harness checks that
 exhaustively, running the oracle only on the pairs whose occurrence
@@ -210,12 +210,20 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     r, m, n = dep.r, dep.m, dep.n
     # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
     nb = p**n
-    a1, lead1, trail1 = _power_counts(f1, n)
-    a2, lead2, trail2 = _power_counts(f2, m)
+    if m == n == 1:
+        # p = q: the powers are g1 and g2 themselves.
+        a1, lead1, trail1 = s, c1.gamma1, c1.gamma2
+        a2, lead2, trail2 = t, c2.gamma1, c2.gamma2
+    else:
+        a1, lead1, trail1 = _power_counts(f1, n)
+        a2, lead2, trail2 = _power_counts(f2, m)
     same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
     conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
     outside = same_outside or conjugate_outside
-    if outside and omega_eventually_periodic(f1) and omega_eventually_periodic(f2):
+    if m == n == 1:
+        # The gaps below p are the interior gaps themselves.
+        agree = outside and c1.alphas == c2.alphas
+    elif outside and omega_eventually_periodic(f1) and omega_eventually_periodic(f2):
         # Both gap sequences are constant, each at its one interior gap, so
         # they agree without a comparison, whatever their length.
         agree = c1.alphas[0] == c2.alphas[0]

@@ -33,8 +33,6 @@ from .words import (
     Word,
     WORD_A,
     WORD_B,
-    checked_add,
-    checked_mul,
     push_run,
 )
 
@@ -71,7 +69,8 @@ IDENTITY = BinaryMorphism(WORD_A, WORD_B)
 
 
 def apply(g: BinaryMorphism, w: Word) -> Word:
-    """The image g(w)."""
+    """The image g(w).  Every run of the result is checked against
+    MAX_COUNT, once, as it is emitted."""
     out: list[Run] = []
     runs_a = g.image_a.runs
     runs_b = g.image_b.runs
@@ -79,26 +78,45 @@ def apply(g: BinaryMorphism, w: Word) -> Word:
         img = runs_b if letter == B else runs_a
         if not img:
             continue
+        head, n = img[0]
         if len(img) == 1:
-            push_run(out, img[0][0], checked_mul(img[0][1], count))
-            continue
-        # Copies of a multi-run image only ever merge at the seam, so the
-        # first run takes the boundary check and the rest append in bulk.
-        first_let, first_cnt = img[0]
-        for _ in range(count):
-            if out and out[-1][0] == first_let:
-                out[-1] = (first_let, checked_add(out[-1][1], first_cnt))
-                out.extend(img[1:])
-            else:
-                out.extend(img)
+            n *= count
+            body = ()
+        elif count == 1:
+            body = img[1:]
+        elif count > MAX_COUNT // 2:
+            # Each copy holds at least two letters.
+            raise CountOverflow(f"{count} copies of an image of {len(img)} runs exceed 64-bit length")
+        elif img[-1][0] == head:
+            # Each copy's last run merges with the next copy's first run
+            # into one seam run.
+            seam = img[-1][1] + n
+            if seam > MAX_COUNT:
+                raise CountOverflow(f"count {seam} exceeds 64-bit bound")
+            body = (img[1:-1] + ((head, seam),)) * (count - 1) + img[1:]
+        else:
+            body = img[1:] + img * (count - 1)
+        # Only the first run can merge with what is already out.
+        if out and out[-1][0] == head:
+            n += out[-1][1]
+            out[-1] = (head, n)
+        else:
+            out.append((head, n))
+        if n > MAX_COUNT:
+            raise CountOverflow(f"count {n} exceeds 64-bit bound")
+        out.extend(body)
     return Word(tuple(out))
 
 
 def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
     """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
-    composed images of a first, then those of b."""
-    return apply(g1, g2.image_a).runs == apply(g2, g1.image_a).runs and (
-        apply(g1, g2.image_b).runs == apply(g2, g1.image_b).runs
+    composed images of b first, then those of a.
+
+    The order changes no verdict, only the work: for an upper triangular
+    pair both composed images of a are a^(st), so they always agree, and a
+    pair that does not commute is settled by the images of b alone."""
+    return apply(g1, g2.image_b).runs == apply(g2, g1.image_b).runs and (
+        apply(g1, g2.image_a).runs == apply(g2, g1.image_a).runs
     )
 
 

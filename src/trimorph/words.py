@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 A = "a"
 B = "b"
@@ -67,11 +67,16 @@ def checked_add(x: int, y: int) -> int:
     return z
 
 
-def checked_mul(x: int, y: int) -> int:
-    z = x * y
-    if z > MAX_COUNT:
-        raise CountOverflow(f"count {z} exceeds 64-bit bound")
-    return z
+def _total(counts: Iterable[int]) -> int:
+    """The sum of nonnegative counts, which passes MAX_COUNT exactly when
+    some partial sum does: summed in C and checked once."""
+    total = sum(counts)
+    if total > MAX_COUNT:
+        raise CountOverflow(f"count {total} exceeds 64-bit bound")
+    return total
+
+
+_count = itemgetter(1)
 
 
 def push_run(runs: list[Run], letter: str, count: int) -> None:
@@ -175,17 +180,12 @@ class Word(Value):
         return "".join(letter * count for letter, count in self.runs)
 
     def length(self) -> int:
-        total = 0
-        for _, count in self.runs:
-            total = checked_add(total, count)
-        return total
+        """The number of letters, with one bound check (see _total)."""
+        return _total(map(_count, self.runs))
 
     def occ(self, letter: str) -> int:
-        total = 0
-        for let, count in self.runs:
-            if let == letter:
-                total = checked_add(total, count)
-        return total
+        """The occurrences of letter, with one bound check (see _total)."""
+        return _total([count for let, count in self.runs if let == letter])
 
     def is_empty(self) -> bool:
         return not self.runs

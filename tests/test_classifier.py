@@ -57,6 +57,16 @@ def test_direct_commute_examples():
     assert not direct_commute(m("a=ab,b=eps"), m("a=b,b=eps"))
 
 
+def test_direct_commute_compares_the_images_of_a_after_those_of_b():
+    # The oracle compares the images of b first.  In this non-triangular
+    # pair both composed images of b are bbbb, but those of a are b and bb.
+    g1, g2 = m("a=b,b=bb"), m("a=a,b=bb")
+    assert compose(g1, g2).image_b == compose(g2, g1).image_b
+    assert compose(g1, g2).image_a != compose(g2, g1).image_a
+    assert not direct_commute(g1, g2)
+    assert not direct_commute(g2, g1)
+
+
 def test_a_conjugates_examples():
     assert a_conjugates(Word.parse("abba"), Word.parse("bbaa"))
     assert a_conjugates(Word.parse("aa"), Word.parse("aa"))

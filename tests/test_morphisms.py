@@ -34,7 +34,7 @@ from trimorph.morphisms import (
     to_triangular,
 )
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import CountOverflow, ParseError, Word
+from trimorph.words import MAX_COUNT, CountOverflow, ParseError, Word
 
 
 def m(text: str) -> BinaryMorphism:
@@ -128,6 +128,72 @@ def test_power_overflow():
 def test_apply_matches_string_oracle(g, t):
     ga, gb = as_strings(g)
     assert apply(g, Word.parse(t) if t else Word()).to_text() == (napply(ga, gb, t) or "eps")
+
+
+def seam_images():
+    """Image texts whose first and last runs share a letter, such as aba."""
+    return st.tuples(st.sampled_from("ab"), st.text(alphabet="ab", min_size=1, max_size=5)).map(
+        lambda pair: pair[0] + pair[1] + pair[0]
+    )
+
+
+def runs_texts():
+    """Input texts with runs of up to five letters, so copies of an image
+    meet at seams."""
+    return st.lists(st.integers(1, 5), max_size=6).map(
+        lambda counts: "".join("ab"[k % 2] * c for k, c in enumerate(counts))
+    )
+
+
+@given(st.one_of(seam_images(), word_texts(6)), st.one_of(seam_images(), word_texts(6)), runs_texts())
+def test_apply_of_seam_images_matches_string_oracle(ta, tb, t):
+    g = BinaryMorphism(Word.parse(ta or "eps"), Word.parse(tb or "eps"))
+    assert apply(g, Word.parse(t or "eps")).to_text() == (napply(ta, tb, t) or "eps")
+
+
+def word_of(*runs) -> Word:
+    return Word(tuple(runs))
+
+
+def test_apply_single_run_product_at_the_bound():
+    third = MAX_COUNT // 3
+    assert 3 * third == MAX_COUNT
+    g = BinaryMorphism(Word.single("a", 3), Word.parse("b"))
+    assert apply(g, word_of(("a", third))).runs == (("a", MAX_COUNT),)
+    with pytest.raises(CountOverflow):
+        apply(g, word_of(("a", third + 1)))
+    twice = BinaryMorphism(Word.single("a", 2), Word.parse("b"))
+    with pytest.raises(CountOverflow):
+        apply(twice, word_of(("a", 2**63)))  # exactly MAX_COUNT + 1
+
+
+def test_apply_merge_with_the_previous_run_at_the_bound():
+    # The image of b starts with the letter the image of a ends with.
+    g = BinaryMorphism(Word.single("a", MAX_COUNT - 1), Word.parse("ab"))
+    assert apply(g, Word.parse("ab")).runs == (("a", MAX_COUNT), ("b", 1))
+    past = BinaryMorphism(Word.single("a", MAX_COUNT), Word.parse("ab"))
+    with pytest.raises(CountOverflow):
+        apply(past, Word.parse("ab"))
+
+
+def test_apply_seam_run_at_the_bound():
+    half = 2**63
+    at_bound = BinaryMorphism(word_of(("a", half), ("b", 1), ("a", half - 1)), Word.parse("b"))
+    assert apply(at_bound, Word.parse("aa")).runs == (
+        ("a", half), ("b", 1), ("a", MAX_COUNT), ("b", 1), ("a", half - 1)
+    )
+    past = BinaryMorphism(word_of(("a", half), ("b", 1), ("a", half)), Word.parse("b"))
+    assert apply(past, Word.parse("a")).runs == past.image_a.runs
+    with pytest.raises(CountOverflow):
+        apply(past, Word.parse("aa"))
+
+
+def test_apply_refuses_copies_past_the_length_bound():
+    # A multi-run image holds at least two letters, so this many copies
+    # are longer than MAX_COUNT, whatever their runs.
+    g = m("a=ab,b=b")
+    with pytest.raises(CountOverflow):
+        apply(g, word_of(("a", MAX_COUNT // 2 + 1)))
 
 
 @given(morphisms(6), morphisms(6))

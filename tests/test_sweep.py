@@ -7,8 +7,8 @@ import json
 import pytest
 
 from trimorph import sweep
-from trimorph.classifier import direct_commute
-from trimorph.morphisms import compose, format_morphism, is_nonsingular, matrix
+from trimorph.classifier import classify, direct_commute
+from trimorph.morphisms import compose, format_morphism, is_nonsingular, mat_mul, matrix
 from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep, sweep_range
 
 TINY = SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=2)
@@ -80,6 +80,35 @@ def test_screened_pairs_still_report_mismatches(monkeypatch):
         m1, m2 = matrix(morphs[i]), matrix(morphs[j])
         screened += m1 @ m2 != m2 @ m1
     assert screened == result.screened > 0
+
+
+def test_screen_matches_matrix_products_on_every_default_pair(monkeypatch):
+    # The sweep screens a pair by one cross product of the triangular
+    # matrices; the pairs it passes to the oracle are exactly those whose
+    # matrix products commute.  classify and the oracle are stubbed to
+    # answer False, as only the screen is under test here.
+    morphs = enumerate_morphisms(SweepConfig())
+    index = {id(g): k for k, g in enumerate(morphs)}
+    report = dataclasses.replace(classify(morphs[0], morphs[0]), prediction=False)
+    oracle_pairs = set()
+
+    def oracle(g1, g2):
+        oracle_pairs.add((index[id(g1)], index[id(g2)]))
+        return False
+
+    monkeypatch.setattr(sweep, "classify", lambda g1, g2: report)
+    monkeypatch.setattr(sweep, "direct_commute", oracle)
+    pairs = len(morphs) ** 2
+    assert pairs == 234_256
+    sweep_range(morphs, 0, pairs)
+    rows = [g.rows for g in morphs]
+    assert oracle_pairs == {
+        (i, j)
+        for i, r1 in enumerate(rows)
+        for j, r2 in enumerate(rows)
+        if mat_mul(r1, r2) == mat_mul(r2, r1)
+    }
+    assert len(oracle_pairs) == 26_936
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,19 @@ def test_overflow_on_concat():
     assert concat(big, w("b")).occ("b") == 1
 
 
+def test_length_and_occ_at_the_bound():
+    half = 2**63
+    at_bound = Word((("a", half), ("b", 1), ("a", half - 1)))
+    assert at_bound.occ("a") == MAX_COUNT
+    assert Word((("a", MAX_COUNT - 1), ("b", 1))).length() == MAX_COUNT
+    past = Word((("a", half), ("b", 1), ("a", half)))
+    with pytest.raises(CountOverflow):
+        past.occ("a")
+    assert past.occ("b") == 1
+    with pytest.raises(CountOverflow):
+        Word((("a", MAX_COUNT), ("b", 1))).length()
+
+
 @given(word_texts(), word_texts())
 def test_concat_matches_strings(t1, t2):
     assert concat(w(t1), w(t2)) == w(t1 + t2)
