@@ -209,14 +209,14 @@ def main() -> int:
                 if run["failed"]:
                     print(f"{name}: {run['failed']} failed requests", file=sys.stderr)
                     return 1
-    answers: dict = {}
+    summaries: set[str] = set()
     for r in range(args.rounds):
         for name in names if r % 2 == 0 else names[::-1]:
             timings = sides[name]["timings"]
             for parallel, key in ((1, "sweep_serial_s"), (2, "sweep_parallel2_s")):
                 elapsed, summary = sweep_seconds(roots[name], parallel)
                 timings[key].append(elapsed)
-                answers.setdefault(name, set()).add(summary)
+                summaries.add(summary)
             elapsed, last = tier1_seconds(roots[name])
             timings["tier1_s"].append(elapsed)
             sides[name]["tier1"] = last
@@ -239,7 +239,7 @@ def main() -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")
     print(f"wrote {out.name}")
-    if len(set().union(*answers.values())) > 1:
+    if len(summaries) > 1:
         print("the sweeps' summaries differ", file=sys.stderr)
         return 1
     return 0
