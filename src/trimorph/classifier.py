@@ -210,13 +210,8 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     r, m, n = dep.r, dep.m, dep.n
     # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
     nb = p**n
-    if m == n == 1:
-        # p = q: the powers are g1 and g2 themselves.
-        a1, lead1, trail1 = s, c1.gamma1, c1.gamma2
-        a2, lead2, trail2 = t, c2.gamma1, c2.gamma2
-    else:
-        a1, lead1, trail1 = _power_counts(f1, n)
-        a2, lead2, trail2 = _power_counts(f2, m)
+    a1, lead1, trail1 = _power_counts(f1, n)
+    a2, lead2, trail2 = _power_counts(f2, m)
     same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
     conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
     outside = same_outside or conjugate_outside

@@ -1,21 +1,23 @@
 """One point of the benchmark trajectory, written to BENCH_<label>.json.
 
-Runs perfbench/run.py for both workloads over the given seeds, and times
-the serial and the --parallel 2 default sweep and the tier-1 suite, each in
-fresh interpreters.  With --against, the given checkout (the parent) and
-this one (the change) alternate: for each seed and each timing round they
-both run, and which goes first alternates.
+Runs perfbench/run.py for both workloads over the given seeds, each run as
+long as BENCHMARK.json's run_seconds, and times the serial and the
+--parallel 2 default sweep and the tier-1 suite, five times each in fresh
+interpreters.  The given checkout (the parent) and this one (the change)
+alternate: for each seed and each timing round they both run, and which
+goes first alternates.
 
     python3 tools/bench_point.py --label pr16 --against PARENT_CHECKOUT \\
-        --seeds 921-925 --seconds 50 --rounds 5
+        --seeds 926-935
 
 A checkout is a repository root holding src/trimorph and perfbench/.  The
 file, at the root of this repository, holds the machine, the Python
-version, the seeds, every run with its host_scale, and per side the
-median, quartiles and IQR of each metric; with --against also the pairs
-the change won, by the direction BENCHMARK.json gives each metric.  Exits 1
-when a run fails or the two sides' sweeps answer differently.  Standard
-library only.
+version, the seeds, every run with its host_scale, per side the median,
+quartiles and IQR of each metric, and the pairs the change won, by the
+direction BENCHMARK.json gives each metric.  When a run fails (a nonzero
+exit, a failed request or a failed test) the file holds what was measured
+up to it, with the failure, and the tool exits 1; it also exits 1 when the
+two sides' sweeps answer differently.  Standard library only.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("verdicts", "structures")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+ROUNDS = 5
 BENCH_TIMEOUT = 600
 # The sweep's summary is printed with its time, so the sides can be compared.
 SWEEP = (
@@ -43,7 +47,11 @@ SWEEP = (
     "print(json.dumps(result.summary_record(), sort_keys=True))\n"
     "print(elapsed)\n"
 )
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+
+
+class RunFailed(Exception):
+    """A run exited nonzero, failed requests or failed tests."""
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -92,8 +100,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise SystemExit(f"{root}: perfbench {workload} seed {seed} exited "
-                         f"{proc.returncode}: {proc.stderr[-2000:]}")
+        raise RunFailed(f"{root}: perfbench {workload} seed {seed} exited "
+                        f"{proc.returncode}: {proc.stderr[-2000:]}")
     details, result = json.loads(lines[-2]), json.loads(lines[-1])
     return {
         "workload": workload,
@@ -113,7 +121,7 @@ def sweep_seconds(root: Path, parallel: int) -> tuple[float, str]:
         env=env_for(root), capture_output=True, text=True, timeout=BENCH_TIMEOUT,
     )
     if proc.returncode != 0:
-        raise SystemExit(f"{root}: sweep exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RunFailed(f"{root}: sweep exited {proc.returncode}: {proc.stderr[-2000:]}")
     summary, elapsed = proc.stdout.strip().splitlines()
     return float(elapsed), summary
 
@@ -128,7 +136,10 @@ def tier1_seconds(root: Path) -> tuple[float, str]:
     elapsed = time.perf_counter() - start
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     # The summary line ends in the suite's own time, which varies run to run.
-    return elapsed, re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
+    last = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
+    if proc.returncode != 0:
+        raise RunFailed(f"{root}: tier-1 exited {proc.returncode} ({last})")
+    return elapsed, last
 
 
 def spread(values: list[float]) -> dict:
@@ -158,8 +169,7 @@ def summarize(side: dict) -> dict:
 def compare(parent: dict, change: dict) -> dict:
     """Per workload and metric: pairs (same seed) the change won, ties
     counting for neither, and the change of the medians."""
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     out: dict = {}
     for workload in WORKLOADS:
         before = {r["seed"]: r["metrics"] for r in parent["runs"] if r["workload"] == workload}
@@ -178,39 +188,22 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--against", type=Path, help="the parent checkout to alternate with")
-    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 921-925,930")
-    parser.add_argument("--seconds", type=float, default=50, help="length of each perfbench run")
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="fresh-interpreter runs of each sweep and of tier-1 (0: none)")
-    args = parser.parse_args()
-    roots = {"change": ROOT}
-    if args.against is not None:
-        roots = {"parent": args.against.resolve(), "change": ROOT}
-    for root in roots.values():
-        if not (root / "src" / "trimorph" / "__init__.py").is_file():
-            parser.error(f"{root} holds no trimorph package")
-    sides = {
-        name: {"revision": revision(root), "runs": [],
-               "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": []}}
-        for name, root in roots.items()
-    }
+def measure(roots: dict, sides: dict, seeds: list[int], summaries: set[str]) -> None:
+    """Fill sides with the runs, alternating the checkouts; raises RunFailed
+    after recording a perfbench run with failed requests."""
+    seconds = BENCHMARK["run_seconds"]
     names = list(roots)
-    for k, seed in enumerate(args.seeds):
+    for k, seed in enumerate(seeds):
         for workload in WORKLOADS:
             for name in names if k % 2 == 0 else names[::-1]:
-                run = bench(roots[name], workload, seed, args.seconds)
+                run = bench(roots[name], workload, seed, seconds)
                 sides[name]["runs"].append(run)
                 print(f"{name} {workload} {seed}: " + ", ".join(
                     f"{n} {v:.4g}" for n, v in run["metrics"].items()), flush=True)
                 if run["failed"]:
-                    print(f"{name}: {run['failed']} failed requests", file=sys.stderr)
-                    return 1
-    summaries: set[str] = set()
-    for r in range(args.rounds):
+                    raise RunFailed(f"{name} {workload} seed {seed}: "
+                                    f"{run['failed']} failed requests")
+    for r in range(ROUNDS):
         for name in names if r % 2 == 0 else names[::-1]:
             timings = sides[name]["timings"]
             for parallel, key in ((1, "sweep_serial_s"), (2, "sweep_parallel2_s")):
@@ -223,6 +216,30 @@ def main() -> int:
             print(f"{name} round {r}: sweep {timings['sweep_serial_s'][-1]:.3f} s, "
                   f"--parallel 2 {timings['sweep_parallel2_s'][-1]:.3f} s, "
                   f"tier-1 {elapsed:.1f} s ({last})", flush=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--against", type=Path, required=True,
+                        help="the parent checkout to alternate with")
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 921-925,930")
+    args = parser.parse_args()
+    roots = {"parent": args.against.resolve(), "change": ROOT}
+    for root in roots.values():
+        if not (root / "src" / "trimorph" / "__init__.py").is_file():
+            parser.error(f"{root} holds no trimorph package")
+    sides = {
+        name: {"revision": revision(root), "runs": [],
+               "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": []}}
+        for name, root in roots.items()
+    }
+    summaries: set[str] = set()
+    failure = None
+    try:
+        measure(roots, sides, args.seeds, summaries)
+    except (RunFailed, subprocess.TimeoutExpired) as exc:
+        failure = str(exc)
     for side in sides.values():
         side["summary"] = summarize(side)
     point = {
@@ -230,15 +247,18 @@ def main() -> int:
         "machine": machine(),
         "python": platform.python_version(),
         "seeds": args.seeds,
-        "seconds": args.seconds,
-        "rounds": args.rounds,
+        "seconds": BENCHMARK["run_seconds"],
+        "rounds": ROUNDS,
         "sides": sides,
+        "pairs": compare(sides["parent"], sides["change"]),
+        "failure": failure,
     }
-    if "parent" in sides:
-        point["pairs"] = compare(sides["parent"], sides["change"])
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=1) + "\n")
     print(f"wrote {out.name}")
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
     if len(summaries) > 1:
         print("the sweeps' summaries differ", file=sys.stderr)
         return 1
