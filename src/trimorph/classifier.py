@@ -3,9 +3,12 @@
 classify() decides from the two triangular forms a -> a^s,
 b -> a^gamma1 b a^alpha1 ... b a^gamma2, each cached on its morphism; the
 images are read only to test whether two erasing morphisms' b-images
-commute as words.  It routes every ordered pair into exactly one case,
-evaluates that case's full list of structural conditions without
-short-circuiting, and predicts commutation as their disjunction.
+commute as words, and that test first compares their letter counts, since
+commuting words are powers of one word and so have proportional counts.
+It routes every ordered pair into exactly one case, evaluates that case's
+full list of structural conditions without short-circuiting, and each case
+builds its own report, predicting commutation as the disjunction of its
+conditions.
 direct_commute(), which lives next to apply in morphisms and is imported
 here, is the independent oracle: it compares the images of b, then of a,
 under both composition orders, with no structural reasoning.  The two must
@@ -134,14 +137,6 @@ def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) 
     return True
 
 
-def _report(
-    case: str, swapped: bool, conditions: dict[str, bool], witness: dict | None = None
-) -> CommutationReport:
-    """The report for a case, predicting commutation as the disjunction of
-    its conditions."""
-    return CommutationReport(case, swapped, conditions, witness, any(conditions.values()))
-
-
 def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     """Structural commutation report for an upper triangular pair, decided
     from the two triangular forms.
@@ -163,11 +158,12 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
         # |g1 g2 (b)| against |g2 g1 (b)|.
         lhs = s * f2.a_count + c1.e * f2.b_count
         rhs = t * c1.e
-        return _report(
+        return CommutationReport(
             CASE_SINGULAR_B_IMAGE,
             swapped,
             {"length_identity": lhs == rhs},
             {"composed_b_image_lengths": [lhs, rhs]},
+            lhs == rhs,
         )
 
     # f2.rank >= f1.rank >= 1, so both images of b hold a b.
@@ -178,26 +174,31 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
             # b are.
             "equal_morphisms": t == 0 and g1.image_b.runs == g2.image_b.runs,
             "partner_is_identity": f2.is_identity,
-            # words_commute is symmetric, so the inputs' order does not matter.
-            "erasing_pair_commutes": t == 0 and words_commute(g1.image_b, g2.image_b),
+            # Commuting words are powers of one word, so their letter counts
+            # are proportional; words_commute is symmetric in its inputs.
+            "erasing_pair_commutes": t == 0
+            and f1.a_count * f2.b_count == f2.a_count * f1.b_count
+            and words_commute(g1.image_b, g2.image_b),
             "both_b_powers": both_b_powers,
             "block_shift_match": block is not None,
         }
-        return _report(CASE_SINGULAR_A_IMAGE, swapped, conditions, block)
+        return CommutationReport(
+            CASE_SINGULAR_A_IMAGE, swapped, conditions, block, any(conditions.values())
+        )
 
     # Both nonsingular from here on, with p <= q.
     p, q = c1.p, c2.p
 
     if p == 1 and q == 1:
-        conditions = {
-            "padding_balance": (s - 1) * c2.gamma1 == (t - 1) * c1.gamma1
-            and (s - 1) * c2.gamma2 == (t - 1) * c1.gamma2
-        }
-        return _report(CASE_BOTH_GAP_ONE, swapped, conditions)
+        lead = (s - 1) * c2.gamma1 == (t - 1) * c1.gamma1
+        balance = lead and (s - 1) * c2.gamma2 == (t - 1) * c1.gamma2
+        conditions = {"padding_balance": balance}
+        return CommutationReport(CASE_BOTH_GAP_ONE, swapped, conditions, None, balance)
 
     if p == 1:
         conditions = {"g1_is_identity": f1.is_identity, "both_b_powers": both_b_powers}
-        return _report(CASE_GAP_ONE_VS_MANY, swapped, conditions)
+        prediction = f1.is_identity or both_b_powers
+        return CommutationReport(CASE_GAP_ONE_VS_MANY, swapped, conditions, None, prediction)
 
     dep = mult_dependence(p, q)
     if not isinstance(dep, Dependent):
@@ -205,26 +206,33 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
         uniform = s == 1 and t == 1 and gap1 is not None and gap1 == gap2
         conditions = {"both_b_powers": both_b_powers, "uniform_blocks_same_gap": uniform}
         witness = {"alpha": gap1} if uniform else None
-        return _report(CASE_MULT_INDEPENDENT, swapped, conditions, witness)
+        prediction = both_b_powers or uniform
+        return CommutationReport(CASE_MULT_INDEPENDENT, swapped, conditions, witness, prediction)
 
     r, m, n = dep.r, dep.m, dep.n
     # g1^n(b) and g2^m(b) both hold nb = r^(mn) b's.
     nb = p**n
-    a1, lead1, trail1 = _power_counts(f1, n)
-    a2, lead2, trail2 = _power_counts(f2, m)
-    same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
-    conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
-    outside = same_outside or conjugate_outside
     if m == n == 1:
-        # The gaps below p are the interior gaps themselves.
-        agree = outside and c1.alphas == c2.alphas
-    elif outside and omega_eventually_periodic(f1) and omega_eventually_periodic(f2):
-        # Both gap sequences are constant, each at its one interior gap, so
-        # they agree without a comparison, whatever their length.
-        agree = c1.alphas[0] == c2.alphas[0]
+        # The powers are the morphisms themselves, with the forms' own counts
+        # (s, gamma1, gamma2), and the gaps below p are the interior gaps.
+        lead1, trail1, lead2, trail2 = c1.gamma1, c1.gamma2, c2.gamma1, c2.gamma2
+        same_outside = s == t and lead1 == lead2 and trail1 == trail2
+        conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
+        agree = (same_outside or conjugate_outside) and c1.alphas == c2.alphas
     else:
-        agree = outside and _gaps_agree(f1, f2, r, m, n)
+        a1, lead1, trail1 = _power_counts(f1, n)
+        a2, lead2, trail2 = _power_counts(f2, m)
+        same_outside = a1 == a2 and lead1 == lead2 and trail1 == trail2
+        conjugate_outside = s == 1 and t == 1 and lead1 + trail1 == lead2 + trail2
+        outside = same_outside or conjugate_outside
+        if outside and omega_eventually_periodic(f1) and omega_eventually_periodic(f2):
+            # Both gap sequences are constant, each at its one interior gap,
+            # so they agree without a comparison, whatever their length.
+            agree = c1.alphas[0] == c2.alphas[0]
+        else:
+            agree = outside and _gaps_agree(f1, f2, r, m, n)
     conjugate = conjugate_outside and agree
+    prediction = (same_outside and agree) or both_b_powers or conjugate
     conditions = {
         "equal_powers": same_outside and agree,
         "both_b_powers": both_b_powers,
@@ -236,4 +244,4 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
         gaps = exact_gap_sequence(f1, nb - 1)
         if nb + sum(gaps) <= 80:
             witness["conjugate_core"] = shape_to_word(Core(0, tuple(gaps), 0)).to_text()
-    return _report(CASE_MULT_DEPENDENT, swapped, conditions, witness)
+    return CommutationReport(CASE_MULT_DEPENDENT, swapped, conditions, witness, prediction)

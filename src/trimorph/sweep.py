@@ -8,13 +8,14 @@ count is zero.  Enumeration order is fixed, so results are reproducible
 and independent of the worker count.
 
 Taking the occurrence matrix is a monoid homomorphism, so a pair whose
-matrices do not commute cannot commute either.  The sweep screens every
-pair by whether its matrices commute and runs the oracle only on the
-pairs that pass; on the default bounds that is 26,936 of 234,256.  The
-matrices are upper triangular, ((s, e), (0, p)), so the screen is one
-cross product: they commute iff e1 (p2 - s2) = e2 (p1 - s1).  A
-screened pair's oracle answer is False, which is what the oracle would
-return, so a wrong True prediction on it is still a mismatch.
+matrices do not commute cannot commute either.  The sweep classifies every
+pair, screens it by whether its matrices commute and runs the oracle only
+on the pairs that pass; on the default bounds that is 26,936 of 234,256.
+The matrices are upper triangular, ((s, e), (0, p)), so the screen is one
+cross product: they commute iff e1 (p2 - s2) = e2 (p1 - s1).  A screened
+pair's oracle answer is False, which is what the oracle would return.  The
+mismatches are the pairs predicted to commute xor found to commute, in
+index order, so a wrong True prediction on a screened pair is still one.
 
 The pair count is known in closed form from the bounds, and a sweep of
 more than MAX_PAIRS pairs is refused before anything is enumerated.
@@ -147,36 +148,35 @@ def _sweep_pairs(
 ) -> tuple[int, Counter, Counter, list[dict], int]:
     """Evaluate ordered pair indices [start, end) against the oracle:
     (commuting, cases, conditions, mismatches, screened), screened counting
-    the pairs whose occurrence matrices settled the oracle answer."""
+    the pairs whose occurrence matrices settled the oracle answer.  The
+    oracle runs only on the pairs that pass that screen, and the mismatches
+    are the pairs predicted xor found to commute, in index order."""
     n = len(morphisms)
     commuting = 0
     screened = 0
     cases: Counter = Counter()
     conditions: Counter = Counter()
     mismatches: list[dict] = []
-    # Upper triangular matrices ((s, e), (0, p)) commute iff
-    # e1 (p2 - s2) = e2 (p1 - s1): the key of a morphism is (e, p - s).
-    keys = [(f.a_count, f.b_count - f.s) for f in [g.form for g in morphisms]]
     for i in range(start // n, -(-end // n)):
-        g1, (e1, d1), row = morphisms[i], keys[i], i * n
+        g1, row = morphisms[i], i * n
         lo, hi = max(start - row, 0), min(end - row, n)
         reports = [classify(g1, g2) for g2 in morphisms[lo:hi]]
         cases.update([report.case for report in reports])
-        for j, report in enumerate(reports, lo):
-            e2, d2 = keys[j]
-            if e1 * d2 == e2 * d1:
-                actual = direct_commute(g1, morphisms[j])
-                commuting += actual
-            else:
-                actual = False
-                screened += 1
-            # The prediction is the disjunction of the conditions.
-            if report.prediction:
-                for name, value in report.conditions.items():
-                    if value:
-                        conditions[f"{report.case}.{name}"] += 1
-            if report.prediction != actual:
-                mismatches.append(_mismatch_record(row + j, g1, morphisms[j], report, actual))
+        # Upper triangular matrices ((s, e), (0, p)) commute iff
+        # e1 (p2 - s2) = e2 (p1 - s1), read off the forms classify cached.
+        e1, d1 = g1.form.a_count, g1.form.b_count - g1.form.s
+        forms = [g2.form for g2 in morphisms[lo:hi]]
+        passing = [j for j, f in enumerate(forms, lo) if e1 * (f.b_count - f.s) == f.a_count * d1]
+        screened += hi - lo - len(passing)
+        found = {j for j in passing if direct_commute(g1, morphisms[j])}
+        commuting += len(found)
+        predicted = {j for j, report in enumerate(reports, lo) if report.prediction}
+        for j in predicted:
+            case, named = reports[j - lo].case, reports[j - lo].conditions.items()
+            conditions.update([f"{case}.{name}" for name, value in named if value])
+        for j in sorted(predicted ^ found):
+            actual = j in found
+            mismatches.append(_mismatch_record(row + j, g1, morphisms[j], reports[j - lo], actual))
     return commuting, cases, conditions, mismatches, screened
 
 

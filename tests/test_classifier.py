@@ -34,7 +34,7 @@ from trimorph.morphisms import (
 )
 from trimorph.numtheory import Dependent, mult_dependence
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, a_conjugates, b_core
+from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, a_conjugates, b_core, words_commute
 
 
 def m(text):
@@ -197,8 +197,90 @@ def test_roles_match_the_spelled_out_rule_on_the_default_sweep():
         for g2 in gs:
             report = classify(g1, g2)
             assert (report.swapped, report.case) == spelled_out_roles(g1.form, g2.form), (g1, g2)
+            # Each case builds its own report; the prediction is still the
+            # disjunction of its conditions.
+            assert report.prediction == any(report.conditions.values()), (g1, g2)
+            # Equal words commute (see IMPLIED_CONDITIONS below).
+            conditions = report.conditions
+            if conditions.get("equal_morphisms"):
+                assert conditions["erasing_pair_commutes"], (g1, g2)
             checked += 1
     assert checked == 234_256
+
+
+# --- SingularAImage: the letter-count check before words_commute
+
+
+def test_erasing_pair_commutes_matches_words_commute_on_the_default_sweep():
+    # classify compares the letter counts of the two b-images before it
+    # runs words_commute; words_commute alone is the reference.
+    erasing = [g for g in enumerate_morphisms(SweepConfig()) if g.form.s == 0 and g.form.b_count]
+    commuting = 0
+    for g1 in erasing:
+        for g2 in erasing:
+            report = classify(g1, g2)
+            assert report.case == CASE_SINGULAR_A_IMAGE
+            expected = words_commute(g1.image_b, g2.image_b)
+            assert report.conditions["erasing_pair_commutes"] == expected, (g1, g2)
+            commuting += expected
+    assert len(erasing) ** 2 == 13_689
+    assert commuting == 153
+
+
+def test_erasing_pair_with_proportional_counts_need_not_commute():
+    # ab and ba each hold one a and one b, but abba != baab.
+    g1, g2 = m("a=eps,b=ab"), m("a=eps,b=ba")
+    report = classify(g1, g2)
+    assert report.case == CASE_SINGULAR_A_IMAGE
+    assert report.conditions["erasing_pair_commutes"] is False
+    assert report.prediction is False
+    assert direct_commute(g1, g2) is False
+
+
+# --- condition audit: every condition but the listed implications is the
+# only true condition of some pair, so each one decides a verdict.
+
+# equal_morphisms is t = 0 with equal images of b, and equal words commute,
+# so it implies erasing_pair_commutes (pinned over the default sweep above).
+# It stays, because it is the paper's wording.
+IMPLIED_CONDITIONS = {"SingularAImage.equal_morphisms"}
+
+SOLE_CONDITION_PAIRS = {
+    "SingularBImage.length_identity": ("a=a,b=a", "a=a,b=a"),
+    "SingularAImage.partner_is_identity": ("a=a,b=b", "a=eps,b=abb"),
+    "SingularAImage.erasing_pair_commutes": ("a=eps,b=ab", "a=eps,b=abab"),
+    "SingularAImage.both_b_powers": ("a=aa,b=b", "a=eps,b=b"),
+    "SingularAImage.block_shift_match": ("a=a,b=bab", "a=eps,b=ab"),
+    "BothGapOne.padding_balance": ("a=a,b=b", "a=a,b=b"),
+    "GapOneVsMany.g1_is_identity": ("a=a,b=abb", "a=a,b=b"),
+    "GapOneVsMany.both_b_powers": ("a=a,b=bb", "a=aa,b=b"),
+    "MultIndependent.both_b_powers": ("a=a,b=bb", "a=aa,b=bbb"),
+    "MultIndependent.uniform_blocks_same_gap": ("a=a,b=bab", "a=a,b=babab"),
+    "MultDependent.equal_powers": ("a=aa,b=abb", "a=aa,b=abb"),
+    "MultDependent.both_b_powers": ("a=a,b=bb", "a=aa,b=bb"),
+    "MultDependent.power_images_a_conjugate": ("a=a,b=abb", "a=a,b=bba"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOLE_CONDITION_PAIRS))
+def test_every_condition_alone_decides_a_pair(key):
+    g1, g2 = (m(text) for text in SOLE_CONDITION_PAIRS[key])
+    report = classify(g1, g2)
+    true = [f"{report.case}.{name}" for name, value in report.conditions.items() if value]
+    assert true == [key]
+    assert report.prediction is True
+    assert direct_commute(g1, g2) is True
+
+
+def test_condition_audit_covers_every_condition():
+    # A new condition must be pinned above, alone on some pair, or listed
+    # as implied by another.
+    names = set()
+    for texts in SOLE_CONDITION_PAIRS.values():
+        report = classify(*(m(text) for text in texts))
+        names |= {f"{report.case}.{name}" for name in report.conditions}
+    assert len(names) == 14
+    assert names == set(SOLE_CONDITION_PAIRS) | IMPLIED_CONDITIONS
 
 
 @st.composite
@@ -315,6 +397,37 @@ def test_mult_dependent_matches_materialised_on_default_sweep():
                 report, g1, g2
             ), (g1, g2)
     assert checked == 65_610
+
+
+def blocks(*gaps: int) -> str:
+    """b a^gap1 b ... a^gapk b."""
+    return "b" + "".join("a" * gap + "b" for gap in gaps)
+
+
+@pytest.mark.parametrize(
+    "g1, g2, core_letters",
+    [
+        ("a=a,b=" + "b" * 80 + "a", "a=a,b=a" + "b" * 80, 80),
+        ("a=a,b=" + "b" * 81 + "a", "a=a,b=a" + "b" * 81, 81),
+        ("a=a,b=b" + "a" * 78 + "ba", "a=a,b=ab" + "a" * 78 + "b", 80),
+        ("a=a,b=b" + "a" * 79 + "ba", "a=a,b=ab" + "a" * 79 + "b", 81),
+        # p = 2 against q = 4: the core of g1^2(b) is b a^25 b a^26 b a^25 b.
+        ("a=a,b=b" + "a" * 25 + "ba", "a=a,b=aa" + blocks(25, 26, 25), 80),
+        ("a=a,b=b" + "a" * 25 + "baa", "a=a,b=aaaa" + blocks(25, 27, 25), 81),
+    ],
+    ids=["80-bs", "81-bs", "80-gap", "81-gap", "80-square", "81-square"],
+)
+def test_conjugate_core_witness_stops_at_80_letters(g1, g2, core_letters):
+    # Both caps at their boundary: the b-count of the core, and its length.
+    g1, g2 = m(g1), m(g2)
+    report = classify(g1, g2)
+    assert report.case == CASE_MULT_DEPENDENT
+    assert report.conditions["power_images_a_conjugate"] is True
+    assert (report.conditions, report.witness) == materialised_mult_dependent(report, g1, g2)
+    core = report.witness.get("conjugate_core")
+    assert (core is not None) == (core_letters <= 80)
+    assert core is None or len(core) == core_letters
+    assert report.prediction is True
 
 
 # (p, q) with p = r^m and q = r^n: power images hold from 3 to 3^6 b's.

@@ -82,6 +82,26 @@ def test_screened_pairs_still_report_mismatches(monkeypatch):
     assert screened == result.screened > 0
 
 
+def test_commuting_pairs_predicted_false_are_mismatches_in_index_order(monkeypatch):
+    # Every pair predicted not to commute: the mismatches are exactly the
+    # commuting pairs, in increasing index, from either entry point.
+    original = sweep.classify
+    monkeypatch.setattr(
+        sweep, "classify", lambda g1, g2: dataclasses.replace(original(g1, g2), prediction=False)
+    )
+    morphs = enumerate_morphisms(TINY)
+    pairs = len(morphs) ** 2
+    commuting, _, conditions, mismatches = sweep_range(morphs, 0, pairs)
+    assert not conditions
+    n = len(morphs)
+    assert [rec["index"] for rec in mismatches] == [
+        k for k in range(pairs) if direct_commute(morphs[k // n], morphs[k % n])
+    ]
+    assert len(mismatches) == commuting > 0
+    assert all(rec["predicted"] is False and rec["actual"] is True for rec in mismatches)
+    assert run_sweep(TINY).mismatches == mismatches
+
+
 def test_screen_matches_matrix_products_on_every_default_pair(monkeypatch):
     # The sweep screens a pair by one cross product of the triangular
     # matrices; the pairs it passes to the oracle are exactly those whose
