@@ -201,15 +201,13 @@ def test_roles_match_the_spelled_out_rule_on_the_default_sweep():
             # disjunction of its conditions.
             assert report.prediction == any(report.conditions.values()), (g1, g2)
             # Equal words commute (see IMPLIED_CONDITIONS below).
-            conditions = report.conditions
-            if conditions.get("equal_morphisms"):
-                assert conditions["erasing_pair_commutes"], (g1, g2)
+            if report.conditions.get("equal_morphisms"):
+                assert report.conditions["erasing_pair_commutes"], (g1, g2)
             checked += 1
     assert checked == 234_256
 
 
 # --- SingularAImage: the letter-count check before words_commute
-
 
 def test_erasing_pair_commutes_matches_words_commute_on_the_default_sweep():
     # classify compares the letter counts of the two b-images before it
