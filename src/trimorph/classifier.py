@@ -107,8 +107,8 @@ def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
 
 
 def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) -> bool:
-    """exact_gap(f1, i) == exact_gap(f2, i) for every 1 <= i < r^(mn), for
-    b-counts r^m and r^n.
+    """gap(f1, i) == gap(f2, i), as exact integers, for every 1 <= i < r^(mn),
+    for b-counts r^m and r^n.
 
     Write i = r^k j with r not dividing j.  The valuation of i in base r^m
     is k // m and its lowest nonzero digit is r^(k mod m) j mod r^m, so

@@ -44,9 +44,9 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
 )
 
 
-# A handler returns its results as (record, human line) pairs, the record
-# without its schema field and the human line None where a result prints
-# nothing in human mode, plus whether the run succeeded (exit 0, else 1).
+# A handler returns (record, human line) pairs, the line None where a result
+# prints nothing in human mode, and whether it succeeded (exit 0, else 1).
+# main sets each record's schema; classify, free and sweep set the same value.
 Results = tuple[list[tuple[dict, str | None]], bool]
 
 

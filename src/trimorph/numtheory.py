@@ -4,45 +4,20 @@ Every integer n >= 2 has a unique primitive root d with n = d^e, e maximal
 (equivalently, d is not itself a proper power).  Two integers p, q >= 2 are
 multiplicatively dependent exactly when they share that root, and then the
 canonical witness p = r^m, q = r^n with gcd(m, n) = 1 comes from dividing
-both exponents by their gcd.  Inputs past 2^64 - 1 raise CountOverflow.
+both exponents by their gcd.  primitive_root peels the prime factors of e
+off n with exact root checks.  Inputs past 2^64 - 1 raise CountOverflow.
 The answer is a value (see words.Value): INDEPENDENT or that Dependent.
 """
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .words import MAX_COUNT, CountOverflow, Value
 
-# Primes up to 64: exponents of perfect powers below 2^64 factor over these.
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-_ODD_PRIMES = _PRIMES[1:]
-
-
-def _is_tiny_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 1
-    return True
-
-
-@cache
-def _residue_filter(exp: int) -> tuple[int, frozenset[int]]:
-    """A modulus M (prime, M = 1 mod exp) and the exp-th power residues mod M,
-    built on first use.
-
-    n = r^exp forces n mod M into this set, which is small because the
-    exp-th powers form an index-exp subgroup of the units mod M.  Testing
-    membership cheaply rejects most non-powers before any root extraction.
-    """
-    m = 2 * exp + 1
-    while not _is_tiny_prime(m):
-        m += 2 * exp
-    return m, frozenset(pow(x, exp, m) for x in range(m))
+# With 2, the primes that the exponent of a perfect power below 2^64 can hold.
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_ODD_ROOTS = tuple((k, 1 / k, 1 << k) for k in _ODD_PRIMES)
 
 
 class Independent(Value):
@@ -87,9 +62,10 @@ def integer_root(n: int, k: int) -> int:
 def primitive_root(n: int) -> tuple[int, int]:
     """The unique (d, e) with n = d^e, e maximal.
 
-    Prime factors of e are peeled off ascending: squares via isqrt, odd
-    primes behind their residue filters.  A base that is not a proper power
-    stays fixed, so the loop terminates with the primitive root.
+    Prime factors of e are peeled off ascending: squares via isqrt, each
+    odd prime k by rounding the float k-th root and checking its power
+    exactly.  A base that is not a proper power stays fixed, so the loop
+    ends with the primitive root.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -102,19 +78,17 @@ def primitive_root(n: int) -> tuple[int, int]:
             break
         d = r
         e *= 2
-    for prime in _ODD_PRIMES:
-        # A prime-th root below 2 cannot exist once 2^prime exceeds d.
-        if (1 << prime) > d:
+    # d <= 2^64 - 1, so for k >= 3 a k-th root of d is below 2^22 and the float
+    # root is within far less than 1/2 of it: rounding finds it, and r**k == d
+    # is exact.  Once 2^k > d, d has no k-th root above 1.
+    for k, inverse, least in _ODD_ROOTS:
+        if least > d:
             break
-        modulus, residues = _residue_filter(prime)
-        while (1 << prime) <= d:
-            if d % modulus not in residues:
-                break
-            r = integer_root(d, prime)
-            if r**prime != d:
-                break
+        r = round(d**inverse)
+        while r**k == d:
             d = r
-            e *= prime
+            e *= k
+            r = round(d**inverse)
     return d, e
 
 

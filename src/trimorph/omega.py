@@ -19,7 +19,7 @@ divisible by p and lowest nonzero base-p digit d, the gaps obey
     gap(h, i) = alpha_d * s^m + (gamma1 + gamma2) * G(s, m)
 
 where G(s, m) = m when s = 1 and (s^m - 1)/(s - 1) otherwise: class_gap
-evaluates it for one class (m, d), exact_gap for one index i.  The word is
+evaluates it for one class (m, d), gap for one index i.  The word is
 eventually periodic exactly when gamma1 = gamma2 = 0 and all interior gaps
 agree, in which case omega(h) = (b a^alpha)^infinity.
 """
@@ -128,24 +128,19 @@ def class_gap(form: TriangularForm, m: int, d: int) -> int:
     return core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
 
 
-def exact_gap(form: TriangularForm, i: int) -> int:
-    """gap(form, i) as an exact integer, with no 64-bit bound."""
+def gap(form: TriangularForm, i: int) -> int:
+    """Number of a's between the i-th and (i+1)-th b of omega(h), closed form."""
     core = _require_gapped(form)
     if i < 1:
         raise ValueError("i must be positive")
-    return class_gap(form, *val_and_digit(i, core.p))
-
-
-def gap(form: TriangularForm, i: int) -> int:
-    """Number of a's between the i-th and (i+1)-th b of omega(h), closed form."""
-    value = exact_gap(form, i)
+    value = class_gap(form, *val_and_digit(i, core.p))
     if value > MAX_COUNT:
         raise CountOverflow(f"gap {value} exceeds 64-bit bound")
     return value
 
 
 def exact_gap_sequence(form: TriangularForm, upto: int) -> list[int]:
-    """[exact_gap(form, 1), ..., exact_gap(form, upto)], built blockwise:
+    """[gap(form, 1), ..., gap(form, upto)] with no 64-bit bound, built blockwise:
     the indexes p j + 1 ... p j + p - 1 carry alpha_1 ... alpha_(p-1), and
     gap(p j) = s gap(j) + gamma1 + gamma2."""
     core = _require_gapped(form)

@@ -7,6 +7,7 @@ to see one PASS line per criterion.
 """
 from __future__ import annotations
 
+import hashlib
 import time
 from itertools import product
 from math import gcd
@@ -56,6 +57,13 @@ REQUIRED_TRUE_CONDITIONS = (
     "MultDependent.both_b_powers",
     "MultDependent.power_images_a_conjugate",
 )
+
+
+# The sha256 of (case, swapped, conditions, witness, prediction) of every
+# report of the default sweep, in sweep order.  A refactor that must leave
+# every report unchanged keeps it; a change that alters reports on purpose
+# re-pins it and says why.
+REPORT_DIGEST = "db0d9183cbbe0546f7f0bf09cfa2ea50b330ae3fdae44e2dd03d81c36a1292e1"
 
 
 def _report(num: int, text: str) -> None:
@@ -133,6 +141,15 @@ def test_default_sweep_tallies_and_screen(default_sweep):
         "SingularAImage.partner_is_identity": 234,
         "SingularBImage.length_identity": 1922,
     }
+
+
+def test_default_sweep_report_digest(morphs):
+    digest = hashlib.sha256()
+    for g1 in morphs:
+        for g2 in morphs:
+            r = classify(g1, g2)
+            digest.update(repr((r.case, r.swapped, r.conditions, r.witness, r.prediction)).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
 
 
 def test_criterion_2_case_and_condition_coverage(default_sweep):

@@ -78,6 +78,30 @@ def test_root_brackets_far_past_float_range(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
+def _reference_root(n: int) -> tuple[int, int]:
+    """(d, e) from exact integer roots: n is a perfect e-th power exactly
+    when e divides the maximal exponent, so the largest such e is it."""
+    for e in range(n.bit_length(), 0, -1):
+        r = integer_root(n, e)
+        if r**e == n:
+            return r, e
+    raise AssertionError(n)
+
+
+def test_primitive_root_at_the_top_of_the_range():
+    # The float root guess has the least room near 2^64: for each prime k,
+    # the 50 largest bases b with b^k < 2^64, and b^k - 1, b^k, b^k + 1.
+    top = 2**64 - 1
+    values = [top, (2**32 - 1) ** 2]
+    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        largest = integer_root(top, k)
+        for b in range(max(2, largest - 49), largest + 1):
+            values += [v for v in (b**k - 1, b**k, b**k + 1) if v <= top]
+    assert len(values) == 959
+    for n in values:
+        assert primitive_root(n) == _reference_root(n), n
+
+
 @given(st.integers(2, 50), st.integers(1, 10))
 def test_primitive_root_of_powers(base, exp):
     db, eb = primitive_root(base)

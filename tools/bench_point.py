@@ -2,10 +2,11 @@
 
 Runs perfbench/run.py for both workloads over the given seeds, each run as
 long as BENCHMARK.json's run_seconds, and times the serial and the
---parallel 2 default sweep and the tier-1 suite, five times each in fresh
-interpreters.  The given checkout (the parent) and this one (the change)
-alternate: for each seed and each timing round they both run, and which
-goes first alternates.
+--parallel 2 default sweep and the tier-1 suite five times each, and each
+of the benchmark's eight CLI commands fifteen times, in fresh interpreters.
+The given checkout (the parent) and this one (the change) alternate: for
+each seed and each timing round they both run, and which goes first
+alternates.
 
     python3 tools/bench_point.py --label pr16 --against PARENT_CHECKOUT \\
         --seeds 926-935
@@ -13,15 +14,18 @@ goes first alternates.
 A checkout is a repository root holding src/trimorph and perfbench/.  The
 file, at the root of this repository, holds the machine, the Python
 version, the seeds, every run with its host_scale, per side the median,
-quartiles and IQR of each metric, and the pairs the change won, by the
+quartiles, IQR and minimum of each metric and timing, each distinct output
+of every sweep and CLI command, and the pairs the change won, by the
 direction BENCHMARK.json gives each metric.  When a run fails (a nonzero
 exit, a failed request or a failed test) the file holds what was measured
 up to it, with the failure, and the tool exits 1; it also exits 1 when the
-two sides' sweeps answer differently.  Standard library only.
+two sides print different output for a sweep or a CLI command.  Standard
+library only.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -48,6 +52,21 @@ SWEEP = (
     "print(elapsed)\n"
 )
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
+# How the benchmark starts the CLI entry point; `-m` would also load runpy.
+CLI = "import trimorph.cli; trimorph.cli.console_main()"
+CLI_REPEATS = 3
+
+
+def cli_commands() -> tuple[tuple[str, ...], ...]:
+    """The argv of each of the benchmark's CLI_CASES, read from
+    perfbench/workloads.py without importing the benchmark."""
+    for node in ast.parse((ROOT / "perfbench" / "workloads.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_CASES"]:
+            return tuple(ast.literal_eval(case.elts[0]) for case in node.value.elts)
+    raise SystemExit("perfbench/workloads.py defines no CLI_CASES")
+
+
+COMMANDS = cli_commands()
 
 
 class RunFailed(Exception):
@@ -87,10 +106,6 @@ def machine() -> dict:
     }
 
 
-def env_for(root: Path) -> dict:
-    return dict(os.environ, PYTHONPATH=str(root / "src"))
-
-
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its metric values, host_scale and failures."""
     proc = subprocess.run(
@@ -113,43 +128,29 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def sweep_seconds(root: Path, parallel: int) -> tuple[float, str]:
-    """(seconds, summary) of run_sweep on the default bounds, timed inside a
-    fresh interpreter, so the import is not counted."""
-    proc = subprocess.run(
-        [sys.executable, "-c", SWEEP, str(parallel)],
-        env=env_for(root), capture_output=True, text=True, timeout=BENCH_TIMEOUT,
-    )
-    if proc.returncode != 0:
-        raise RunFailed(f"{root}: sweep exited {proc.returncode}: {proc.stderr[-2000:]}")
-    summary, elapsed = proc.stdout.strip().splitlines()
-    return float(elapsed), summary
-
-
-def tier1_seconds(root: Path) -> tuple[float, str]:
-    """(wall seconds, last line) of the tier-1 suite in a fresh interpreter."""
+def fresh(root: Path, *args: str) -> tuple[float, str]:
+    """(wall seconds, stdout) of one fresh interpreter run on the checkout's
+    package; raises RunFailed when it exits nonzero."""
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *TIER1], cwd=root, env=env_for(root),
+        [sys.executable, *args], cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=BENCH_TIMEOUT,
     )
     elapsed = time.perf_counter() - start
-    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    # The summary line ends in the suite's own time, which varies run to run.
-    last = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
     if proc.returncode != 0:
-        raise RunFailed(f"{root}: tier-1 exited {proc.returncode} ({last})")
-    return elapsed, last
+        raise RunFailed(f"{root}: {' '.join(args)[:80]} exited {proc.returncode}: "
+                        f"{(proc.stdout + proc.stderr)[-2000:]}")
+    return elapsed, proc.stdout
 
 
 def spread(values: list[float]) -> dict:
-    """Median, quartiles and IQR of the values (inclusive quartiles)."""
+    """Median, quartiles, IQR and minimum of the values (inclusive quartiles)."""
     if len(values) == 1:
         q1 = q3 = values[0]
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"n": len(values), "median": statistics.median(values), "q1": q1, "q3": q3,
-            "iqr": q3 - q1}
+            "iqr": q3 - q1, "min": min(values)}
 
 
 def summarize(side: dict) -> dict:
@@ -188,9 +189,11 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
-def measure(roots: dict, sides: dict, seeds: list[int], summaries: set[str]) -> None:
-    """Fill sides with the runs, alternating the checkouts; raises RunFailed
-    after recording a perfbench run with failed requests."""
+def measure(roots: dict, sides: dict, seeds: list[int], outputs: dict) -> None:
+    """Fill sides with the runs and outputs with each distinct output of
+    the sweeps (serial and parallel alike) and of each CLI command,
+    alternating the checkouts; raises RunFailed after recording a perfbench
+    run with failed requests."""
     seconds = BENCHMARK["run_seconds"]
     names = list(roots)
     for k, seed in enumerate(seeds):
@@ -205,17 +208,27 @@ def measure(roots: dict, sides: dict, seeds: list[int], summaries: set[str]) -> 
                                     f"{run['failed']} failed requests")
     for r in range(ROUNDS):
         for name in names if r % 2 == 0 else names[::-1]:
-            timings = sides[name]["timings"]
+            root, timings = roots[name], sides[name]["timings"]
             for parallel, key in ((1, "sweep_serial_s"), (2, "sweep_parallel2_s")):
-                elapsed, summary = sweep_seconds(roots[name], parallel)
-                timings[key].append(elapsed)
-                summaries.add(summary)
-            elapsed, last = tier1_seconds(roots[name])
+                _, out = fresh(root, "-c", SWEEP, str(parallel))
+                summary, elapsed = out.strip().splitlines()
+                timings[key].append(float(elapsed))
+                outputs.setdefault("sweep", set()).add(summary)
+            elapsed, out = fresh(root, *TIER1)
             timings["tier1_s"].append(elapsed)
-            sides[name]["tier1"] = last
+            # The summary line ends in the suite's own time, which varies.
+            last = out.strip().splitlines()[-1] if out.strip() else ""
+            sides[name]["tier1"] = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
+            for _ in range(CLI_REPEATS):
+                for argv in COMMANDS:
+                    elapsed, out = fresh(root, "-c", CLI, *argv)
+                    timings[f"cli_{argv[0]}_s"].append(elapsed)
+                    outputs.setdefault(f"cli_{argv[0]}", set()).add(out)
+            cli_ms = sum(min(timings[f"cli_{argv[0]}_s"][-CLI_REPEATS:]) for argv in COMMANDS)
             print(f"{name} round {r}: sweep {timings['sweep_serial_s'][-1]:.3f} s, "
                   f"--parallel 2 {timings['sweep_parallel2_s'][-1]:.3f} s, "
-                  f"tier-1 {elapsed:.1f} s ({last})", flush=True)
+                  f"tier-1 {timings['tier1_s'][-1]:.1f} s ({sides[name]['tier1']}), "
+                  f"CLI sum of minima {cli_ms * 1e3:.0f} ms", flush=True)
 
 
 def main() -> int:
@@ -231,13 +244,14 @@ def main() -> int:
             parser.error(f"{root} holds no trimorph package")
     sides = {
         name: {"revision": revision(root), "runs": [],
-               "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": []}}
+               "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": [],
+                           **{f"cli_{argv[0]}_s": [] for argv in COMMANDS}}}
         for name, root in roots.items()
     }
-    summaries: set[str] = set()
+    outputs: dict[str, set[str]] = {}
     failure = None
     try:
-        measure(roots, sides, args.seeds, summaries)
+        measure(roots, sides, args.seeds, outputs)
     except (RunFailed, subprocess.TimeoutExpired) as exc:
         failure = str(exc)
     for side in sides.values():
@@ -251,6 +265,7 @@ def main() -> int:
         "rounds": ROUNDS,
         "sides": sides,
         "pairs": compare(sides["parent"], sides["change"]),
+        "outputs": {key: sorted(texts) for key, texts in outputs.items()},
         "failure": failure,
     }
     out = ROOT / f"BENCH_{args.label}.json"
@@ -259,8 +274,9 @@ def main() -> int:
     if failure:
         print(failure, file=sys.stderr)
         return 1
-    if len(summaries) > 1:
-        print("the sweeps' summaries differ", file=sys.stderr)
+    differ = [key for key, texts in outputs.items() if len(texts) > 1]
+    if differ:
+        print(f"the sides' outputs differ: {' '.join(differ)}", file=sys.stderr)
         return 1
     return 0
 
