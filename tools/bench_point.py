@@ -66,9 +66,6 @@ def cli_commands() -> tuple[tuple[str, ...], ...]:
     raise SystemExit("perfbench/workloads.py defines no CLI_CASES")
 
 
-COMMANDS = cli_commands()
-
-
 class RunFailed(Exception):
     """A run exited nonzero, failed requests or failed tests."""
 
@@ -189,7 +186,7 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
-def measure(roots: dict, sides: dict, seeds: list[int], outputs: dict) -> None:
+def measure(roots: dict, sides: dict, seeds: list[int], commands: tuple, outputs: dict) -> None:
     """Fill sides with the runs and outputs with each distinct output of
     the sweeps (serial and parallel alike) and of each CLI command,
     alternating the checkouts; raises RunFailed after recording a perfbench
@@ -220,11 +217,11 @@ def measure(roots: dict, sides: dict, seeds: list[int], outputs: dict) -> None:
             last = out.strip().splitlines()[-1] if out.strip() else ""
             sides[name]["tier1"] = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
             for _ in range(CLI_REPEATS):
-                for argv in COMMANDS:
+                for argv in commands:
                     elapsed, out = fresh(root, "-c", CLI, *argv)
                     timings[f"cli_{argv[0]}_s"].append(elapsed)
                     outputs.setdefault(f"cli_{argv[0]}", set()).add(out)
-            cli_ms = sum(min(timings[f"cli_{argv[0]}_s"][-CLI_REPEATS:]) for argv in COMMANDS)
+            cli_ms = sum(min(timings[f"cli_{argv[0]}_s"][-CLI_REPEATS:]) for argv in commands)
             print(f"{name} round {r}: sweep {timings['sweep_serial_s'][-1]:.3f} s, "
                   f"--parallel 2 {timings['sweep_parallel2_s'][-1]:.3f} s, "
                   f"tier-1 {timings['tier1_s'][-1]:.1f} s ({sides[name]['tier1']}), "
@@ -242,16 +239,17 @@ def main() -> int:
     for root in roots.values():
         if not (root / "src" / "trimorph" / "__init__.py").is_file():
             parser.error(f"{root} holds no trimorph package")
+    commands = cli_commands()
     sides = {
         name: {"revision": revision(root), "runs": [],
                "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": [],
-                           **{f"cli_{argv[0]}_s": [] for argv in COMMANDS}}}
+                           **{f"cli_{argv[0]}_s": [] for argv in commands}}}
         for name, root in roots.items()
     }
     outputs: dict[str, set[str]] = {}
     failure = None
     try:
-        measure(roots, sides, args.seeds, outputs)
+        measure(roots, sides, args.seeds, commands, outputs)
     except (RunFailed, subprocess.TimeoutExpired) as exc:
         failure = str(exc)
     for side in sides.values():
