@@ -207,33 +207,30 @@ class Core(Value):
 
 
 def b_image_shape(w: Word) -> BOnly | Core:
-    """Decompose a word as an upper triangular image of b."""
-    gamma1 = None
-    gaps: list[int] = []
+    """Decompose a word as an upper triangular image of b: pads lists the a's
+    before each b, and the a's after the last b are gamma2; with no b, BOnly."""
+    pads: list[int] = []
     pending = 0
     for letter, count in w.runs:
         if letter == A:
             pending += count
             continue
-        if gamma1 is None:
-            gamma1 = pending
-        else:
-            gaps.append(pending)
-        gaps.extend([0] * (count - 1))
+        pads.append(pending)
+        if count > 1:
+            pads.extend([0] * (count - 1))
         pending = 0
-    if gamma1 is None:
+    if not pads:
         return BOnly(pending)
-    return Core(gamma1, tuple(gaps), pending)
+    return Core(pads[0], tuple(pads[1:]), pending)
 
 
 def shape_to_word(shape: BOnly | Core) -> Word:
+    """a^pad b for each pad of (gamma1, *alphas), then a^gamma2; BOnly(e) is a^e."""
     if isinstance(shape, BOnly):
         return Word.single(A, shape.e)
     out: list[Run] = []
-    push_run(out, A, shape.gamma1)
-    push_run(out, B, 1)
-    for gap in shape.alphas:
-        push_run(out, A, gap)
+    for pad in (shape.gamma1, *shape.alphas):
+        push_run(out, A, pad)
         push_run(out, B, 1)
     push_run(out, A, shape.gamma2)
     return Word(tuple(out))

@@ -77,19 +77,17 @@ class SweepConfig:
 
 
 def enumerate_b_images(max_p: int, max_exp: int, max_bonly_exp: int) -> list[Word]:
+    """a^0 .. a^max_bonly_exp, then (gamma1, *alphas, gamma2) from one product per b-count p."""
     images = [Word.single(A, e) for e in range(max_bonly_exp + 1)]
     for p in range(1, max_p + 1):
-        for gamma1 in range(max_exp + 1):
-            for alphas in product(range(max_exp + 1), repeat=p - 1):
-                for gamma2 in range(max_exp + 1):
-                    images.append(shape_to_word(Core(gamma1, alphas, gamma2)))
+        for gamma1, *alphas, gamma2 in product(range(max_exp + 1), repeat=p + 1):
+            images.append(shape_to_word(Core(gamma1, tuple(alphas), gamma2)))
     return images
 
 
 def enumerate_morphisms(config: SweepConfig) -> list[BinaryMorphism]:
-    """All in-bounds triangular morphisms, in a fixed documented order:
-    image of a ascending, then b-free images ascending, then b-images by
-    (b-count, leading padding, interior gaps, trailing padding)."""
+    """All in-bounds triangular morphisms in a fixed order: image of a ascending,
+    then the b-images in enumerate_b_images order (b-count, gamma1, alphas, gamma2)."""
     b_images = enumerate_b_images(config.max_p, config.max_exp, config.max_bonly_exp)
     return [
         BinaryMorphism(Word.single(A, s), image_b)

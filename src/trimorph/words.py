@@ -4,10 +4,10 @@ Words are stored run-length encoded: a tuple of (letter, count) runs with
 adjacent runs carrying distinct letters and every count >= 1.  The empty
 word is the empty run tuple.  Run counts and word lengths are checked
 against a 64-bit bound; arithmetic that would exceed it raises
-CountOverflow instead of silently wrapping or degrading.  BeyondBudget is
-the one exception for work or output beyond a budget, raised by the
-library and the command line alike, and SearchAborted ends a relation
-search.
+CountOverflow instead of silently wrapping or degrading.  BeyondBudget
+marks work or output beyond a budget, in the library and the command line
+alike; SearchAborted ends a relation search that would overflow or whose
+depth is beyond freeness.MAX_DEPTH.
 
 This is the bottom layer: the command line imports it, and nothing else,
 before it knows which command runs, so it also holds the record

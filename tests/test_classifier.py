@@ -627,7 +627,7 @@ def assert_power_counts(form: TriangularForm, k: int) -> None:
     assert _power_counts(form, k) == expected
 
 
-def test_memoised_power_counts_match_literal_powers_on_the_default_sweep():
+def test_power_counts_match_literal_powers_on_the_default_sweep():
     for g in enumerate_morphisms(SweepConfig()):
         if g.form.is_nonsingular() and g.form.b_count >= 2:
             for k in (1, 2, 3):
@@ -635,7 +635,7 @@ def test_memoised_power_counts_match_literal_powers_on_the_default_sweep():
 
 
 @given(gapped_forms(), st.integers(1, 4))
-def test_memoised_power_counts_match_literal_powers(form, k):
+def test_power_counts_match_literal_powers(form, k):
     assert_power_counts(form, k)
 
 

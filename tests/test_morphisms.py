@@ -24,6 +24,7 @@ from trimorph.morphisms import (
     NotUpperTriangular,
     TriangularForm,
     apply,
+    b_image_shape,
     compose,
     format_morphism,
     is_nonsingular,
@@ -31,6 +32,7 @@ from trimorph.morphisms import (
     matrix,
     parse_morphism,
     power,
+    shape_to_word,
     to_triangular,
 )
 from trimorph.sweep import SweepConfig, enumerate_morphisms
@@ -85,6 +87,25 @@ def test_to_triangular_examples():
     assert (form.a_count, form.b_count) == (4, 2)
     assert to_triangular(m("a=eps,b=aaa")) == TriangularForm(0, BOnly(3))
     assert to_triangular(m("a=eps,b=aaa")).a_count == 3
+
+
+@pytest.mark.parametrize(
+    "runs, shape",
+    [
+        ((), BOnly(0)),
+        ((("a", MAX_COUNT),), BOnly(MAX_COUNT)),
+        ((("b", 2),), Core(0, (0,), 0)),
+        ((("b", 1), ("a", MAX_COUNT), ("b", 3), ("a", 5)), Core(0, (MAX_COUNT, 0, 0), 5)),
+        ((("a", MAX_COUNT), ("b", 2), ("a", 7), ("b", 1)), Core(MAX_COUNT, (0, 7), 0)),
+        ((("b", 2**16),), Core(0, (0,) * (2**16 - 1), 0)),
+        ((("a", 3), ("b", 2**16), ("a", MAX_COUNT)), Core(3, (0,) * (2**16 - 1), MAX_COUNT)),
+    ],
+)
+def test_b_image_shape_reads_the_as_before_each_b(runs, shape):
+    # Each b of a run after the first has no a before it, so gets a 0 padding.
+    word = Word(runs)
+    assert b_image_shape(word) == shape
+    assert shape_to_word(shape) == word
 
 
 def test_triangular_form_is_computed_once_per_morphism():

@@ -3,13 +3,15 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+from itertools import product
 
 import pytest
 
 from trimorph import sweep
 from trimorph.classifier import classify, direct_commute
 from trimorph.morphisms import compose, format_morphism, is_nonsingular, mat_mul, matrix
-from trimorph.sweep import SweepConfig, enumerate_morphisms, run_sweep, sweep_range
+from trimorph.sweep import SweepConfig, enumerate_b_images, enumerate_morphisms, run_sweep, sweep_range
+from trimorph.words import Word
 
 TINY = SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=2)
 
@@ -19,6 +21,20 @@ def test_enumeration_is_deterministic_and_distinct():
     assert morphs == enumerate_morphisms(TINY)
     texts = [format_morphism(g) for g in morphs]
     assert len(set(texts)) == len(texts)
+
+
+def test_b_images_follow_one_loop_per_padding():
+    # The order written out as nested loops over gamma1, the interior gaps
+    # and gamma2, with each word spelled as text.
+    expected = [Word.single("a", e) for e in range(2)]
+    for p in range(1, 5):
+        for gamma1 in range(3):
+            for alphas in product(range(3), repeat=p - 1):
+                for gamma2 in range(3):
+                    text = "a" * gamma1 + "b" + "".join("a" * gap + "b" for gap in alphas) + "a" * gamma2
+                    expected.append(Word.parse(text))
+    assert len(expected) == 362
+    assert enumerate_b_images(4, 2, 1) == expected
 
 
 def test_enumeration_respects_bounds():
