@@ -46,7 +46,7 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
 
 # A handler returns (record, human line) pairs, the line None where a result
 # prints nothing in human mode, and whether it succeeded (exit 0, else 1).
-# main sets each record's schema; classify, free and sweep set the same value.
+# main sets each record's schema; classify and sweep set the same value.
 Results = tuple[list[tuple[dict, str | None]], bool]
 
 
@@ -150,13 +150,18 @@ def _multdep(args) -> Results:
 
 
 def _free(args) -> Results:
-    from .freeness import DEFAULT_DEPTH, find_relation, relation_record
+    from .freeness import DEFAULT_DEPTH, find_relation
     from .morphisms import parse_morphism
 
     depth = DEFAULT_DEPTH if args.depth is None else args.depth
     rel = find_relation(parse_morphism(args.g1), parse_morphism(args.g2), depth)
-    record = relation_record(depth, rel)
-    return [(record, f"{record['left']} = {record['right']}" if rel else "none")], True
+    record = {"kind": "relation_search", "depth": depth, "found": rel is not None}
+    if rel is None:
+        return [(record, "none")], True
+    # The sequences are written as digit strings, such as "12".
+    left, right = ("".join(map(str, seq)) for seq in (rel.left, rel.right))
+    record.update(left=left, right=right)
+    return [(record, f"{left} = {right}")], True
 
 
 # The fields of SweepConfig, which holds their defaults; a test keeps the two

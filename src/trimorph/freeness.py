@@ -18,13 +18,13 @@ collision-free matrix walk is a sound certificate that no morphism relation
 exists at that depth, while a matrix collision says nothing either way.
 
 The module needs only morphisms and words, so the `free` command loads
-neither the classifier nor dataclasses: SearchAborted, SCHEMA_VERSION and
-the Value base of Relation live in words.
+neither the classifier nor dataclasses: SearchAborted and the Value base of
+Relation live in words.
 """
 from __future__ import annotations
 
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import MAX_COUNT, SCHEMA_VERSION, SearchAborted, Value
+from .words import MAX_COUNT, SearchAborted, Value
 
 
 class Relation(Value):
@@ -121,17 +121,3 @@ def find_relation(
 def matrix_collision(g1: BinaryMorphism, g2: BinaryMorphism, depth: int) -> bool:
     """True iff two distinct sequences of length <= depth share a matrix product."""
     return _first_collision(g1, g2, depth, exact=False) is not None
-
-
-def relation_record(depth: int, rel: Relation | None) -> dict:
-    """The `relation_search` record of a search to the given depth; the
-    sequences are written as digit strings, such as "12"."""
-    record = {
-        "schema": SCHEMA_VERSION,
-        "kind": "relation_search",
-        "depth": depth,
-        "found": rel is not None,
-    }
-    if rel is not None:
-        record.update(left="".join(map(str, rel.left)), right="".join(map(str, rel.right)))
-    return record

@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from .words import MAX_COUNT, CountOverflow, Value
 
-# With 2, the primes that the exponent of a perfect power below 2^64 can hold.
-_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-_ODD_ROOTS = tuple((k, 1 / k, 1 << k) for k in _ODD_PRIMES)
+# The primes that the exponent of a perfect power below 2^64 can hold.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_ROOTS = tuple((k, 1 / k, 1 << k) for k in _PRIMES)
 
 
 class Independent(Value):
@@ -62,26 +62,19 @@ def integer_root(n: int, k: int) -> int:
 def primitive_root(n: int) -> tuple[int, int]:
     """The unique (d, e) with n = d^e, e maximal.
 
-    Prime factors of e are peeled off ascending: squares via isqrt, each
-    odd prime k by rounding the float k-th root and checking its power
-    exactly.  A base that is not a proper power stays fixed, so the loop
-    ends with the primitive root.
+    Prime factors of e are peeled off ascending, each prime k by rounding
+    the float k-th root and checking its power exactly.  A base that is not
+    a proper power stays fixed, so the loop ends with the primitive root.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > MAX_COUNT:
         raise CountOverflow(f"{n} exceeds the 64-bit bound")
     d, e = n, 1
-    while d >= 4:
-        r = math.isqrt(d)
-        if r * r != d:
-            break
-        d = r
-        e *= 2
-    # d <= 2^64 - 1, so for k >= 3 a k-th root of d is below 2^22 and the float
-    # root is within far less than 1/2 of it: rounding finds it, and r**k == d
-    # is exact.  Once 2^k > d, d has no k-th root above 1.
-    for k, inverse, least in _ODD_ROOTS:
+    # A root of d < 2^64 is below 2^32, so the float root is within far less
+    # than 1/2 of it: rounding finds it exactly, and r**k == d is exact.  Once
+    # 2^k > d, d has no k-th root above 1.
+    for k, inverse, least in _ROOTS:
         if least > d:
             break
         r = round(d**inverse)

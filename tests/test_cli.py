@@ -160,13 +160,19 @@ def test_free_none(capsys):
 
 
 def test_free_found(capsys):
-    code, out, _ = run(capsys, "free", "a=a,b=bb", "a=aa,b=b", "--json")
-    assert code == 0
-    record = json.loads(out)
-    assert record["found"] is True
-    assert record["left"] == "12"
-    assert record["right"] == "21"
-    assert record["depth"] == 6
+    cases = (
+        (("a=a,b=bb", "a=aa,b=b"),
+         {"schema": 1, "kind": "relation_search", "depth": 6, "found": True,
+          "left": "12", "right": "21"}),
+        (("a=aa,b=bb", "a=aa,b=abb", "--depth", "4"),
+         {"schema": 1, "kind": "relation_search", "depth": 4, "found": False}),
+    )
+    for argv, expected in cases:
+        code, out, _ = run(capsys, "free", *argv, "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["found"] is expected["found"]
+        assert record == expected
 
 
 def test_sweep_human_summary(capsys):

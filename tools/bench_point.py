@@ -4,9 +4,10 @@ Runs perfbench/run.py for both workloads over the given seeds, each run as
 long as BENCHMARK.json's run_seconds, and times the serial and the
 --parallel 2 default sweep and the tier-1 suite five times each, and each
 of the benchmark's eight CLI commands fifteen times, in fresh interpreters.
-The given checkout (the parent) and this one (the change) alternate: for
-each seed and each timing round they both run, and which goes first
-alternates.
+Each of these measurements is one step, run on the given checkout (the
+parent) and on this one (the change) back to back, and which goes first
+alternates from step to step, so every value has a partner taken next to
+it in time.
 
     python3 tools/bench_point.py --label pr16 --against PARENT_CHECKOUT \\
         --seeds 926-935
@@ -15,11 +16,12 @@ A checkout is a repository root holding src/trimorph and perfbench/.  The
 file, at the root of this repository, holds the machine, the Python
 version, the seeds, every run with its host_scale, per side the median,
 quartiles, IQR and minimum of each metric and timing, each distinct output
-of every sweep and CLI command, and the pairs the change won, by the
-direction BENCHMARK.json gives each metric.  When a run fails (a nonzero
-exit, a failed request or a failed test) the file holds what was measured
-up to it, with the failure, and the tool exits 1; it also exits 1 when the
-two sides print different output for a sweep or a CLI command.  Standard
+of every sweep and CLI command, and the pairs the change won on each metric
+and timing, by the direction BENCHMARK.json gives it (lower is better for
+a timing).  When a run fails (a nonzero exit, a failed request, a failed
+test or output that does not parse) the file holds what was measured up to
+it, with the failure, and the tool exits 1; it also exits 1 when the two
+sides print different output for a sweep or a CLI command.  Standard
 library only.
 """
 from __future__ import annotations
@@ -34,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,15 +44,14 @@ WORKLOADS = ("verdicts", "structures")
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 ROUNDS = 5
 BENCH_TIMEOUT = 600
-# The sweep's summary is printed with its time, so the sides can be compared.
+# The sweep prints its time in process, then its summary for the sides to compare.
 SWEEP = (
     "import json, sys, time\n"
     "from trimorph.sweep import SweepConfig, run_sweep\n"
     "start = time.perf_counter()\n"
     "result = run_sweep(SweepConfig(parallel=int(sys.argv[1])))\n"
-    "elapsed = time.perf_counter() - start\n"
+    "print(time.perf_counter() - start)\n"
     "print(json.dumps(result.summary_record(), sort_keys=True))\n"
-    "print(elapsed)\n"
 )
 TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
 # How the benchmark starts the CLI entry point; `-m` would also load runpy.
@@ -103,26 +105,14 @@ def machine() -> dict:
     }
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(root: Path, workload: str, seed: int) -> dict:
     """One perfbench run: its metric values, host_scale and failures."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True, timeout=BENCH_TIMEOUT,
-    )
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        raise RunFailed(f"{root}: perfbench {workload} seed {seed} exited "
-                        f"{proc.returncode}: {proc.stderr[-2000:]}")
-    details, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return {
-        "workload": workload,
-        "seed": seed,
-        "host_scale": details["host_scale"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+    _, out = fresh(root, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                   "--seconds", str(BENCHMARK["run_seconds"]))
+    details, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    return {"workload": workload, "seed": seed, "host_scale": details["host_scale"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
 def fresh(root: Path, *args: str) -> tuple[float, str]:
@@ -153,79 +143,89 @@ def spread(values: list[float]) -> dict:
 def summarize(side: dict) -> dict:
     out: dict = {}
     for workload in WORKLOADS:
-        runs = [r for r in side["runs"] if r["workload"] == workload]
-        if not runs:
-            continue
-        values = [{**r["metrics"], "host_scale": r["host_scale"]} for r in runs]
-        out[workload] = {name: spread([v[name] for v in values]) for name in values[0]}
-    for name, values in side["timings"].items():
+        values = [{**r["metrics"], "host_scale": r["host_scale"]}
+                  for r in side["runs"] if r["workload"] == workload]
         if values:
-            out[name] = spread(values)
+            out[workload] = {name: spread([v[name] for v in values]) for name in values[0]}
+    for name, values in side["timings"].items():
+        out[name] = spread(values)
     return out
 
 
+def won(before: list[float], after: list[float], sign: int) -> dict:
+    """The pairs the change won (sign 1: higher is better, -1: lower), ties
+    counting for neither, and the change of the medians of the pairs; a last
+    value left without a partner by a failure is not counted."""
+    pairs = list(zip(before, after))
+    return {"wins": sum(sign * (a - b) > 0 for b, a in pairs), "pairs": len(pairs),
+            "median_change": statistics.median(a for _, a in pairs)
+            / statistics.median(b for b, _ in pairs) - 1}
+
+
 def compare(parent: dict, change: dict) -> dict:
-    """Per workload and metric: pairs (same seed) the change won, ties
-    counting for neither, and the change of the medians."""
-    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+    """won() per workload and metric, and per timing (lower is better),
+    pairing the two values that each step took."""
+    better = {m["name"]: 1 if m["better"] == "higher" else -1 for m in BENCHMARK["end_to_end"]}
     out: dict = {}
     for workload in WORKLOADS:
-        before = {r["seed"]: r["metrics"] for r in parent["runs"] if r["workload"] == workload}
-        after = {r["seed"]: r["metrics"] for r in change["runs"] if r["workload"] == workload}
-        seeds = sorted(set(before) & set(after))
-        if not seeds:
-            continue
-        rows = {}
-        for name, direction in better.items():
-            sign = 1 if direction == "higher" else -1
-            wins = sum(sign * (after[s][name] - before[s][name]) > 0 for s in seeds)
-            m0 = statistics.median(before[s][name] for s in seeds)
-            m1 = statistics.median(after[s][name] for s in seeds)
-            rows[name] = {"wins": wins, "pairs": len(seeds), "median_change": m1 / m0 - 1}
-        out[workload] = rows
+        before, after = ([r["metrics"] for r in side["runs"] if r["workload"] == workload]
+                         for side in (parent, change))
+        if before and after:
+            out[workload] = {name: won([m[name] for m in before], [m[name] for m in after], sign)
+                             for name, sign in better.items()}
+    for name, before in parent["timings"].items():
+        if name in change["timings"]:
+            out[name] = won(before, change["timings"][name], -1)
     return out
 
 
 def measure(roots: dict, sides: dict, seeds: list[int], commands: tuple, outputs: dict) -> None:
-    """Fill sides with the runs and outputs with each distinct output of
-    the sweeps (serial and parallel alike) and of each CLI command,
-    alternating the checkouts; raises RunFailed after recording a perfbench
-    run with failed requests."""
-    seconds = BENCHMARK["run_seconds"]
+    """Fill sides with the runs and timings, and outputs with each distinct
+    output of the sweeps (serial and parallel alike) and of each CLI command.
+    Each step runs on both checkouts back to back, the first side
+    alternating from step to step; raises RunFailed after recording a
+    perfbench run with failed requests."""
+
+    def perfbench(name: str, workload: str, seed: int) -> str:
+        run = bench(roots[name], workload, seed)
+        sides[name]["runs"].append(run)
+        if run["failed"]:
+            raise RunFailed(f"{name} {workload} seed {seed}: {run['failed']} failed requests")
+        return f"{workload} {seed}: {run['metrics']}"
+
+    def keep(name: str, key: str, seconds: float) -> str:
+        sides[name]["timings"].setdefault(key, []).append(seconds)
+        return f"{key} {seconds:.3f}"
+
+    def sweep(name: str, parallel: int, key: str) -> str:
+        _, out = fresh(roots[name], "-c", SWEEP, str(parallel))
+        elapsed, summary = out.strip().splitlines()
+        outputs.setdefault("sweep", set()).add(summary)
+        return keep(name, key, float(elapsed))
+
+    def tier1(name: str) -> str:
+        elapsed, out = fresh(roots[name], *TIER1)
+        # The summary line ends in the suite's own time, which varies.
+        last = out.strip().splitlines()[-1] if out.strip() else ""
+        sides[name]["tier1"] = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
+        return keep(name, "tier1_s", elapsed) + f" ({sides[name]['tier1']})"
+
+    def cli(name: str, argv: tuple) -> str:
+        elapsed, out = fresh(roots[name], "-c", CLI, *argv)
+        outputs.setdefault(f"cli_{argv[0]}", set()).add(out)
+        return keep(name, f"cli_{argv[0]}_s", elapsed)
+
+    # Reversing the workloads on odd seeds alternates each workload's first side.
+    steps = [partial(perfbench, workload=workload, seed=seed) for k, seed in enumerate(seeds)
+             for workload in (WORKLOADS if k % 2 == 0 else WORKLOADS[::-1])]
+    for _ in range(ROUNDS):
+        steps += [partial(sweep, parallel=1, key="sweep_serial_s"),
+                  partial(sweep, parallel=2, key="sweep_parallel2_s"), tier1]
+        steps += [partial(cli, argv=argv) for _ in range(CLI_REPEATS) for argv in commands]
     names = list(roots)
-    for k, seed in enumerate(seeds):
-        for workload in WORKLOADS:
-            for name in names if k % 2 == 0 else names[::-1]:
-                run = bench(roots[name], workload, seed, seconds)
-                sides[name]["runs"].append(run)
-                print(f"{name} {workload} {seed}: " + ", ".join(
-                    f"{n} {v:.4g}" for n, v in run["metrics"].items()), flush=True)
-                if run["failed"]:
-                    raise RunFailed(f"{name} {workload} seed {seed}: "
-                                    f"{run['failed']} failed requests")
-    for r in range(ROUNDS):
-        for name in names if r % 2 == 0 else names[::-1]:
-            root, timings = roots[name], sides[name]["timings"]
-            for parallel, key in ((1, "sweep_serial_s"), (2, "sweep_parallel2_s")):
-                _, out = fresh(root, "-c", SWEEP, str(parallel))
-                summary, elapsed = out.strip().splitlines()
-                timings[key].append(float(elapsed))
-                outputs.setdefault("sweep", set()).add(summary)
-            elapsed, out = fresh(root, *TIER1)
-            timings["tier1_s"].append(elapsed)
-            # The summary line ends in the suite's own time, which varies.
-            last = out.strip().splitlines()[-1] if out.strip() else ""
-            sides[name]["tier1"] = re.sub(r" in [\d.]+s.*$", "", last.strip("= "))
-            for _ in range(CLI_REPEATS):
-                for argv in commands:
-                    elapsed, out = fresh(root, "-c", CLI, *argv)
-                    timings[f"cli_{argv[0]}_s"].append(elapsed)
-                    outputs.setdefault(f"cli_{argv[0]}", set()).add(out)
-            cli_ms = sum(min(timings[f"cli_{argv[0]}_s"][-CLI_REPEATS:]) for argv in commands)
-            print(f"{name} round {r}: sweep {timings['sweep_serial_s'][-1]:.3f} s, "
-                  f"--parallel 2 {timings['sweep_parallel2_s'][-1]:.3f} s, "
-                  f"tier-1 {timings['tier1_s'][-1]:.1f} s ({sides[name]['tier1']}), "
-                  f"CLI sum of minima {cli_ms * 1e3:.0f} ms", flush=True)
+    for i, step in enumerate(steps):
+        done = [f"{name} {step(name)}" for name in (names if i % 2 == 0 else names[::-1])]
+        print(f"step {i + 1}/{len(steps)}: " + "; ".join(done), flush=True)
 
 
 def main() -> int:
@@ -239,18 +239,14 @@ def main() -> int:
     for root in roots.values():
         if not (root / "src" / "trimorph" / "__init__.py").is_file():
             parser.error(f"{root} holds no trimorph package")
-    commands = cli_commands()
-    sides = {
-        name: {"revision": revision(root), "runs": [],
-               "timings": {"sweep_serial_s": [], "sweep_parallel2_s": [], "tier1_s": [],
-                           **{f"cli_{argv[0]}_s": [] for argv in commands}}}
-        for name, root in roots.items()
-    }
+    sides = {name: {"revision": revision(root), "runs": [], "timings": {}}
+             for name, root in roots.items()}
     outputs: dict[str, set[str]] = {}
     failure = None
     try:
-        measure(roots, sides, args.seeds, commands, outputs)
-    except (RunFailed, subprocess.TimeoutExpired) as exc:
+        measure(roots, sides, args.seeds, cli_commands(), outputs)
+    # A ValueError is output that does not parse.
+    except (RunFailed, subprocess.TimeoutExpired, ValueError) as exc:
         failure = str(exc)
     for side in sides.values():
         side["summary"] = summarize(side)
