@@ -79,9 +79,13 @@ def test_every_step_runs_on_both_sides_back_to_back(bench_point, monkeypatch):
         assert step_of(args1) == step_of(args2)
         assert first == roots["parent" if i % 2 == 0 else "change"]
         assert second == roots["change" if i % 2 == 0 else "parent"]
-    # Each workload's first side alternates from seed to seed too.
-    firsts = [(step_of(args)[1], root) for root, args in calls[: 2 * runs : 2]]
-    assert len(set(firsts)) == runs
+    # Each workload's first side alternates from seed to seed, and each
+    # command goes first on either side as often, give or take one.
+    firsts = [(step_of(args), root) for root, args in calls[::2]]
+    assert len({(step[1], root) for step, root in firsts[:runs]}) == runs
+    for argv in commands:
+        order = [root for step, root in firsts if step == ("cli", argv[0])]
+        assert abs(order.count(roots["parent"]) - order.count(roots["change"])) <= 1
 
     for side in sides.values():
         assert len(side["runs"]) == runs
@@ -109,9 +113,10 @@ def test_a_failure_leaves_the_last_value_unpaired(bench_point, monkeypatch):
     calls = []
 
     def fresh(root, *args):
-        calls.append((root, step_of(args)))
-        if calls.count((ROOTS["parent"], ("cli", first))) == 2:
-            raise bench_point.RunFailed("parent: exited 1")
+        calls.append(step_of(args))
+        # The second side of the command's second step fails.
+        if calls.count(("cli", first)) == 4:
+            raise bench_point.RunFailed(f"{root}: exited 1")
         return 0.25, fake_output(bench_point, args)
 
     sides, outputs = patch(bench_point, monkeypatch, fresh)

@@ -215,13 +215,15 @@ def measure(roots: dict, sides: dict, seeds: list[int], commands: tuple, outputs
         outputs.setdefault(f"cli_{argv[0]}", set()).add(out)
         return keep(name, f"cli_{argv[0]}_s", elapsed)
 
-    # Reversing the workloads on odd seeds alternates each workload's first side.
+    # Reversing the workloads on odd seeds, and the commands on odd repeats,
+    # alternates the first side of each workload and each command too.
     steps = [partial(perfbench, workload=workload, seed=seed) for k, seed in enumerate(seeds)
              for workload in (WORKLOADS if k % 2 == 0 else WORKLOADS[::-1])]
     for _ in range(ROUNDS):
         steps += [partial(sweep, parallel=1, key="sweep_serial_s"),
                   partial(sweep, parallel=2, key="sweep_parallel2_s"), tier1]
-        steps += [partial(cli, argv=argv) for _ in range(CLI_REPEATS) for argv in commands]
+        steps += [partial(cli, argv=argv) for t in range(CLI_REPEATS)
+                  for argv in (commands if t % 2 == 0 else commands[::-1])]
     names = list(roots)
     for i, step in enumerate(steps):
         done = [f"{name} {step(name)}" for name in (names if i % 2 == 0 else names[::-1])]
@@ -245,7 +247,6 @@ def main() -> int:
     failure = None
     try:
         measure(roots, sides, args.seeds, cli_commands(), outputs)
-    # A ValueError is output that does not parse.
     except (RunFailed, subprocess.TimeoutExpired, ValueError) as exc:
         failure = str(exc)
     for side in sides.values():
