@@ -72,8 +72,8 @@ def primitive_root(n: int) -> tuple[int, int]:
         raise CountOverflow(f"{n} exceeds the 64-bit bound")
     d, e = n, 1
     # A root of d < 2^64 is below 2^32, so the float root is within far less
-    # than 1/2 of it: rounding finds it exactly, and r**k == d is exact.  Once
-    # 2^k > d, d has no k-th root above 1.
+    # than 1/2 of it: rounding finds it, and r**k == d is an exact check.
+    # Once 2^k > d, d has no k-th root above 1.
     for k, inverse, least in _ROOTS:
         if least > d:
             break
