@@ -42,6 +42,7 @@ _EXPORTS = {
             "apply",
             "compose",
             "direct_commute",
+            "first_difference",
             "format_morphism",
             "is_nonsingular",
             "matrix",
@@ -56,7 +57,6 @@ _EXPORTS = {
             "Dependent",
             "Independent",
             "MultDependence",
-            "integer_root",
             "mult_dependence",
             "primitive_root",
             "val_and_digit",

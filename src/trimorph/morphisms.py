@@ -14,13 +14,17 @@ with p >= 1 occurrences of b.  TriangularForm captures that decomposition
 exactly and reconstructs the morphism from it.
 
 direct_commute is the brute-force oracle every structural claim is checked
-against: it applies each morphism to the other's images, with no
-structural reasoning, so the `check` command needs no other module.
+against: it streams the runs of the composed images under both orders
+(image_runs) and compares them run by run, with no structural reasoning,
+stopping at the first runs that differ; first_difference names the letter
+where they do.  The `check` command needs no other module.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from functools import cached_property
+from itertools import islice, zip_longest
 
 from .words import (
     A,
@@ -108,16 +112,123 @@ def apply(g: BinaryMorphism, w: Word) -> Word:
     return Word(tuple(out))
 
 
+def image_runs(g: BinaryMorphism, w: Word) -> Iterator[Run]:
+    """The runs of g(w), one at a time, merged as apply merges them.
+
+    It holds the run the next image may still extend and one image's runs,
+    so its memory is O(runs of g and w) whatever the length of g(w).  A
+    one-run image is multiplied by the count, as apply does.  Every run is
+    checked against MAX_COUNT as it is yielded, and more than MAX_COUNT // 2
+    copies of a multi-run image are refused where they start, so read to
+    its end the stream raises CountOverflow exactly when apply does.
+    """
+    runs_a = g.image_a.runs
+    runs_b = g.image_b.runs
+    # The pending run; n = 0 before the first.
+    letter, n = None, 0
+    for x, count in w.runs:
+        img = runs_b if x == B else runs_a
+        if not img:
+            continue
+        head, k = img[0]
+        if len(img) == 1:
+            k *= count
+        elif count > MAX_COUNT // 2:
+            # Each copy holds at least two letters.
+            raise CountOverflow(f"{count} copies of an image of {len(img)} runs exceed 64-bit length")
+        if head == letter:
+            n += k
+        else:
+            if n > MAX_COUNT:
+                raise CountOverflow(f"count {n} exceeds 64-bit bound")
+            if n:
+                yield letter, n
+            letter, n = head, k
+        if len(img) == 1:
+            continue
+        # The image's second run ends the merged first run.
+        if n > MAX_COUNT:
+            raise CountOverflow(f"count {n} exceeds 64-bit bound")
+        yield letter, n
+        middle = img[1:-1]
+        if count > 1:
+            if img[-1][0] == head:
+                # Each copy's last run merges with the next copy's first run
+                # into one seam run.
+                seam = img[-1][1] + img[0][1]
+                if seam > MAX_COUNT:
+                    raise CountOverflow(f"count {seam} exceeds 64-bit bound")
+                unit = middle + ((head, seam),)
+            else:
+                unit = img[1:] + img[:1]
+            for _ in range(count - 1):
+                yield from unit
+        yield from middle
+        letter, n = img[-1]
+    if n > MAX_COUNT:
+        raise CountOverflow(f"count {n} exceeds 64-bit bound")
+    if n:
+        yield letter, n
+
+
+def _first_mismatch(u: Iterator[Run], v: Iterator[Run]) -> tuple[int, Run | None, Run | None] | None:
+    """The index of the first pair of runs at which streams u and v differ,
+    and those runs, None for a stream that has ended; None when u and v
+    are equal.  Both streams are left just past the runs returned."""
+    for i, (x, y) in enumerate(zip_longest(u, v)):
+        if x != y:
+            return i, x, y
+    return None
+
+
 def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
-    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
-    composed images of b first, then those of a.
+    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the run
+    streams of the composed images of b first, then those of a, and
+    stopping at the first pair of runs that differ.
 
     The order changes no verdict, only the work: for an upper triangular
     pair both composed images of a are a^(st), so they always agree, and a
     pair that does not commute is settled by the images of b alone."""
-    return apply(g1, g2.image_b).runs == apply(g2, g1.image_b).runs and (
-        apply(g1, g2.image_a).runs == apply(g2, g1.image_a).runs
+    return _first_mismatch(image_runs(g1, g2.image_b), image_runs(g2, g1.image_b)) is None and (
+        _first_mismatch(image_runs(g1, g2.image_a), image_runs(g2, g1.image_a)) is None
     )
+
+
+class Difference(Value):
+    """Where g1 g2 and g2 g1 first differ: on the image of letter image, at
+    the 0-based letter position, where g1g2 and g2g1 hold the letters of
+    each side, None for a side that ends there."""
+
+    __slots__ = ("image", "position", "g1g2", "g2g1")
+    _fields = ("image", "position", "g1g2", "g2g1")
+
+    def __init__(self, image: str, position: int, g1g2: str | None, g2g1: str | None):
+        self.image = image
+        self.position = position
+        self.g1g2 = g1g2
+        self.g2g1 = g2g1
+
+
+def first_difference(g1: BinaryMorphism, g2: BinaryMorphism) -> Difference | None:
+    """The first letter at which g1 g2 and g2 g1 differ, by the comparison
+    direct_commute makes, or None when they commute."""
+    for image, w1, w2 in ((B, g2.image_b, g1.image_b), (A, g2.image_a, g1.image_a)):
+        left, right = image_runs(g1, w1), image_runs(g2, w2)
+        found = _first_mismatch(left, right)
+        if found is None:
+            continue
+        i, x, y = found
+        # The i runs before the mismatch are equal on both sides.
+        position = sum(count for _, count in islice(image_runs(g1, w1), i))
+        if x is None or y is None or x[0] != y[0]:
+            # One side ended, or the mismatch is at the start.
+            return Difference(image, position, x and x[0], y and y[0])
+        # Equal letters in runs of different lengths: the shorter run ends
+        # first, and the run after it, if any, holds the other letter.
+        if x[1] < y[1]:
+            return Difference(image, position + x[1], next(left, (None,))[0], y[0])
+        return Difference(image, position + y[1], x[0], next(right, (None,))[0])
+    return None
 
 
 def compose(g1: BinaryMorphism, g2: BinaryMorphism) -> BinaryMorphism:

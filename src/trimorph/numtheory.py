@@ -39,26 +39,6 @@ MultDependence = Independent | Dependent
 INDEPENDENT = Independent()
 
 
-def integer_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    # Integer Newton from above: 2^ceil(bits/k) exceeds the root, and the
-    # iterates fall strictly until they reach the floor.
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def primitive_root(n: int) -> tuple[int, int]:
     """The unique (d, e) with n = d^e, e maximal.
 

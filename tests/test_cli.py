@@ -61,6 +61,25 @@ def test_check_json_record(capsys):
     }
 
 
+def test_check_json_record_names_the_first_difference(capsys):
+    # g1 g2 (b) = abb and g2 g1 (b) = abab differ at their third letter.
+    code, out, _ = run(capsys, "check", "a=a,b=bb", "a=aa,b=ab", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": 1,
+        "kind": "commutation",
+        "g1": "a=a,b=bb",
+        "g2": "a=aa,b=ab",
+        "commute": False,
+        "first_difference": {"image": "b", "position": 2, "g1g2": "b", "g2g1": "a"},
+    }
+    # g1 g2 (b) = b ends where g2 g1 (b) = ba goes on.
+    code, out, _ = run(capsys, "check", "a=eps,b=b", "a=a,b=ba", "--json")
+    assert json.loads(out)["first_difference"] == {
+        "image": "b", "position": 1, "g1g2": None, "g2g1": "a"
+    }
+
+
 def test_classify_json_record(capsys):
     code, out, _ = run(capsys, "classify", "a=a,b=baab", "a=a,b=baabaab", "--json")
     assert code == 0
@@ -326,8 +345,15 @@ def test_classify_beyond_the_gap_budget_exits_three(capsys):
             f"--upto {cli.MAX_DIRECT_GAPS + 1} exceeds the direct gaps budget of "
             f"{cli.MAX_DIRECT_GAPS}",
         ),
+        (
+            # g1 g2 (b) holds 20002 copies of g1(b), of 40001 runs each; the
+            # pair commutes, so the oracle would walk them all.
+            ("check", "a=a,b=" + "ba" * 20000 + "b", "a=a,b=" + "ba" * 20001 + "b"),
+            "the images of g1 g2 may hold 800120004 runs, beyond the check budget of "
+            f"{cli.MAX_CHECK_RUNS}",
+        ),
     ],
-    ids=["omega-len", "gaps-upto", "gaps-direct-upto"],
+    ids=["omega-len", "gaps-upto", "gaps-direct-upto", "check-runs"],
 )
 def test_expansion_beyond_budget_exits_three_at_once(capsys, argv, message):
     start = time.perf_counter()
@@ -454,16 +480,13 @@ def test_each_command_loads_only_what_it_runs(argv, unloaded):
 
 
 def test_out_of_memory_exits_three():
-    # check composes both ways: each composite b-image holds 20001 * 20002
-    # b's in runs of one, which a 1 GiB address-space limit (set in the
-    # child only) cannot hold.
-    g1 = "a=a,b=" + "ba" * 20000 + "b"
-    g2 = "a=a,b=" + "ba" * 20001 + "b"
-
+    # From depth 12 on, most sequences of the relation search repeat a
+    # matrix and are composed, and their words grow exponentially: at depth
+    # 13 they outgrow a 1 GiB address-space limit (set in the child only).
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = run_module("check", g1, g2, preexec_fn=limit_memory)
+    proc = run_module("free", "a=a,b=bab", "a=aa,b=bab", "--depth", "13", preexec_fn=limit_memory)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 

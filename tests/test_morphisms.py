@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from conftest import (
@@ -23,10 +23,13 @@ from trimorph.morphisms import (
     IDENTITY,
     NotUpperTriangular,
     TriangularForm,
+    Difference,
     apply,
     b_image_shape,
     compose,
+    first_difference,
     format_morphism,
+    image_runs,
     is_nonsingular,
     mat_mul,
     matrix,
@@ -215,6 +218,90 @@ def test_apply_refuses_copies_past_the_length_bound():
     g = m("a=ab,b=b")
     with pytest.raises(CountOverflow):
         apply(g, word_of(("a", MAX_COUNT // 2 + 1)))
+
+
+def counts(low=1):
+    """Run counts at both ends of the 64-bit range."""
+    return st.one_of(st.integers(low, 3), st.integers(MAX_COUNT // 4, MAX_COUNT))
+
+
+@st.composite
+def counted_words(draw, letter_counts):
+    """Words of up to five runs, each count drawn from letter_counts(letter)."""
+    letter = draw(st.sampled_from("ab"))
+    runs = []
+    for _ in range(draw(st.integers(0, 5))):
+        runs.append((letter, draw(letter_counts(letter))))
+        letter = "b" if letter == "a" else "a"
+    return word_of(*runs)
+
+
+@st.composite
+def stream_inputs(draw):
+    """A morphism with counts up to near 2^64 and a word to apply it to.
+    A multi-run image is copied at most 3 times, or more than MAX_COUNT // 2
+    times, which both sides refuse at once."""
+    g = BinaryMorphism(*(draw(counted_words(lambda _: counts())) for _ in "ab"))
+
+    def copies(letter):
+        if len((g.image_a if letter == "a" else g.image_b).runs) > 1:
+            return st.one_of(st.integers(1, 3), st.integers(MAX_COUNT // 2 + 1, MAX_COUNT))
+        return counts()
+
+    return g, draw(counted_words(copies))
+
+
+@given(stream_inputs())
+@example((BinaryMorphism(Word.single("a", 3), Word.parse("b")), word_of(("a", MAX_COUNT // 3))))
+@example((BinaryMorphism(Word.single("a", 3), Word.parse("b")), word_of(("a", MAX_COUNT // 3 + 1))))
+@example((BinaryMorphism(Word.single("a", MAX_COUNT - 1), Word.parse("ab")), Word.parse("ab")))
+@example((BinaryMorphism(Word.single("a", MAX_COUNT), Word.parse("ab")), Word.parse("ab")))
+@example((BinaryMorphism(word_of(("a", 2**63), ("b", 1), ("a", 2**63 - 1)), Word.parse("b")),
+          Word.parse("aa")))
+@example((BinaryMorphism(word_of(("a", 2**63), ("b", 1), ("a", 2**63)), Word.parse("b")),
+          Word.parse("aa")))
+@example((m("a=ab,b=b"), word_of(("a", MAX_COUNT // 2 + 1))))
+def test_image_runs_equal_apply(inputs):
+    # apply is the reference: the stream yields its runs, and raises
+    # CountOverflow exactly on the inputs apply refuses.
+    g, w = inputs
+    try:
+        expected = apply(g, w).runs
+    except CountOverflow:
+        with pytest.raises(CountOverflow):
+            list(image_runs(g, w))
+    else:
+        assert tuple(image_runs(g, w)) == expected
+
+
+def string_difference(g1, g2):
+    """first_difference on plain strings: the image of b first, then of a."""
+    for k, image in ((1, "b"), (0, "a")):
+        u, v = ncompose(g1, g2)[k], ncompose(g2, g1)[k]
+        if u != v:
+            i = next((i for i, (x, y) in enumerate(zip(u, v)) if x != y), min(len(u), len(v)))
+            return Difference(image, i, u[i] if i < len(u) else None, v[i] if i < len(v) else None)
+    return None
+
+
+def test_first_difference_matches_strings_on_a_reduced_sweep():
+    morphs = enumerate_morphisms(SweepConfig(max_s=2, max_p=2, max_exp=2, max_bonly_exp=2))
+    texts = [as_strings(g) for g in morphs]
+    differing = 0
+    for g1, t1 in zip(morphs, texts):
+        for g2, t2 in zip(morphs, texts):
+            expected = string_difference(t1, t2)
+            assert first_difference(g1, g2) == expected
+            assert direct_commute(g1, g2) == (expected is None)
+            differing += expected is not None
+    assert differing == 12_786
+
+
+@given(morphisms(6), morphisms(6))
+def test_first_difference_matches_strings(g1, g2):
+    # Arbitrary morphisms, whose composed images may differ in length or in
+    # the images of a.
+    assert first_difference(g1, g2) == string_difference(as_strings(g1), as_strings(g2))
 
 
 @given(morphisms(6), morphisms(6))

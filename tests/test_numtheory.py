@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -7,7 +9,6 @@ import hypothesis.strategies as st
 from trimorph.numtheory import (
     INDEPENDENT,
     Dependent,
-    integer_root,
     mult_dependence,
     primitive_root,
     val_and_digit,
@@ -34,6 +35,24 @@ def test_val_and_digit_examples():
     assert val_and_digit(12, 3) == (1, 4 % 3)
     assert val_and_digit(7, 3) == (0, 1)
     assert val_and_digit(54, 3) == (3, 2)
+
+
+def integer_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0 for k >= 1, in exact integers: the
+    reference that the float root guesses of primitive_root are checked
+    against."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    # Integer Newton from above: 2^ceil(bits/k) exceeds the root, and the
+    # iterates fall strictly until they reach the floor.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def test_integer_root_examples():

@@ -11,7 +11,7 @@ from hypothesis import given
 import trimorph
 from conftest import words
 from trimorph.freeness import Relation
-from trimorph.morphisms import BinaryMorphism, BOnly, Core, MorphMatrix, TriangularForm
+from trimorph.morphisms import BinaryMorphism, BOnly, Core, Difference, MorphMatrix, TriangularForm
 from trimorph.numtheory import Dependent, Independent
 from trimorph.words import Word
 
@@ -20,10 +20,10 @@ EXPORTED = (
     "EMPTY MAX_COUNT BeyondBudget CountOverflow ParseError Word b_core concat take_prefix "
     "words_commute BinaryMorphism BOnly Core IDENTITY MorphMatrix NotUpperTriangular "
     "TriangularForm apply compose format_morphism is_nonsingular matrix parse_morphism power "
-    "to_triangular Dependent Independent MultDependence integer_root mult_dependence "
+    "to_triangular Dependent Independent MultDependence mult_dependence "
     "primitive_root val_and_digit NotApplicable OmegaUndefined gap gap_sequence "
     "gap_sequence_direct omega_eventually_periodic omega_prefix right_tail CASES "
-    "CommutationReport a_conjugates classify direct_commute Relation SearchAborted "
+    "CommutationReport a_conjugates classify direct_commute first_difference Relation SearchAborted "
     "find_relation matrix_collision SweepConfig SweepResult enumerate_morphisms run_sweep"
 ).split()
 
@@ -67,6 +67,10 @@ FIELDS = {
     Independent: ([], st.just(())),
     Dependent: (["r", "m", "n"], st.tuples(st.integers(2, 3), st.integers(1, 2), st.integers(1, 2))),
     Relation: (["left", "right"], st.tuples(*[st.lists(st.integers(1, 2), max_size=2).map(tuple)] * 2)),
+    Difference: (
+        ["image", "position", "g1g2", "g2g1"],
+        st.tuples(st.sampled_from("ab"), small, *[st.sampled_from(["a", "b", None])] * 2),
+    ),
 }
 
 
