@@ -108,8 +108,9 @@ def _classify(args) -> Results:
 # Each budget is sized so that a request at the budget answers within a few
 # seconds and 1 GiB of memory on the densest words.
 MAX_OMEGA_LEN = 3_000_000
-# Runs of the two composed images under one order, which the oracle streams
-# at about 3.5 million runs a second per order, in O(runs of the input).
+# Runs of the two composed images under one order.  The oracle streams both
+# orders side by side in O(runs of the input), about 10 million runs a second
+# each on a 2-vCPU host, so a check at the budget walks for about a second.
 MAX_CHECK_RUNS = 10_000_000
 
 

@@ -13,18 +13,20 @@ either a b-free word a^e or the padded block form
 with p >= 1 occurrences of b.  TriangularForm captures that decomposition
 exactly and reconstructs the morphism from it.
 
-direct_commute is the brute-force oracle every structural claim is checked
-against: it streams the runs of the composed images under both orders
-(image_runs) and compares them run by run, with no structural reasoning,
-stopping at the first runs that differ; first_difference names the letter
-where they do.  The `check` command needs no other module.
+The runs of g(w) are built in one place, _pieces, as tuples of runs:
+apply collects them into a word for compose and power, and image_runs
+streams them one run at a time.  direct_commute is the brute-force oracle
+every structural claim is checked against: it compares the streams of the
+composed images under both orders, with no structural reasoning, stopping
+at the first runs that differ; first_difference names the letter where
+they do.  The `check` command needs no other module.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 
 from .words import (
     A,
@@ -37,6 +39,7 @@ from .words import (
     Word,
     WORD_A,
     WORD_B,
+    checked_add,
     push_run,
 )
 
@@ -72,55 +75,21 @@ class BinaryMorphism(Value):
 IDENTITY = BinaryMorphism(WORD_A, WORD_B)
 
 
-def apply(g: BinaryMorphism, w: Word) -> Word:
-    """The image g(w).  Every run of the result is checked against
-    MAX_COUNT, once, as it is emitted."""
-    out: list[Run] = []
-    runs_a = g.image_a.runs
-    runs_b = g.image_b.runs
-    for letter, count in w.runs:
-        img = runs_b if letter == B else runs_a
-        if not img:
-            continue
-        head, n = img[0]
-        if len(img) == 1:
-            n *= count
-            body = ()
-        elif count == 1:
-            body = img[1:]
-        elif count > MAX_COUNT // 2:
-            # Each copy holds at least two letters.
-            raise CountOverflow(f"{count} copies of an image of {len(img)} runs exceed 64-bit length")
-        elif img[-1][0] == head:
-            # Each copy's last run merges with the next copy's first run
-            # into one seam run.
-            seam = img[-1][1] + n
-            if seam > MAX_COUNT:
-                raise CountOverflow(f"count {seam} exceeds 64-bit bound")
-            body = (img[1:-1] + ((head, seam),)) * (count - 1) + img[1:]
-        else:
-            body = img[1:] + img * (count - 1)
-        # Only the first run can merge with what is already out.
-        if out and out[-1][0] == head:
-            n += out[-1][1]
-            out[-1] = (head, n)
-        else:
-            out.append((head, n))
-        if n > MAX_COUNT:
-            raise CountOverflow(f"count {n} exceeds 64-bit bound")
-        out.extend(body)
-    return Word(tuple(out))
+# Copies of a multi-run image are yielded in blocks of at most about this
+# many runs: tuple repetition, not the generator, sets the speed of a long
+# image, while a stream still holds only O(runs of g and w).
+_BLOCK_RUNS = 4096
 
 
-def image_runs(g: BinaryMorphism, w: Word) -> Iterator[Run]:
-    """The runs of g(w), one at a time, merged as apply merges them.
+def _pieces(g: BinaryMorphism, w: Word) -> Iterator[tuple[Run, ...]]:
+    """Tuples of runs that, concatenated, are g(w) in run-length normal form.
 
-    It holds the run the next image may still extend and one image's runs,
-    so its memory is O(runs of g and w) whatever the length of g(w).  A
-    one-run image is multiplied by the count, as apply does.  Every run is
-    checked against MAX_COUNT as it is yielded, and more than MAX_COUNT // 2
-    copies of a multi-run image are refused where they start, so read to
-    its end the stream raises CountOverflow exactly when apply does.
+    A one-run image is multiplied by the count.  A multi-run image yields
+    its first run, merged with the pending run, then the copies after the
+    first, then its middle runs; its last run becomes the pending run, so
+    the next image can still extend it.  Every yielded count is checked
+    against MAX_COUNT, and more than MAX_COUNT // 2 copies of a multi-run
+    image are refused where they start.
     """
     runs_a = g.image_a.runs
     runs_b = g.image_b.runs
@@ -132,43 +101,70 @@ def image_runs(g: BinaryMorphism, w: Word) -> Iterator[Run]:
             continue
         head, k = img[0]
         if len(img) == 1:
-            k *= count
-        elif count > MAX_COUNT // 2:
-            # Each copy holds at least two letters.
-            raise CountOverflow(f"{count} copies of an image of {len(img)} runs exceed 64-bit length")
-        if head == letter:
-            n += k
-        else:
+            if head == letter:
+                n += k * count
+                continue
             if n > MAX_COUNT:
                 raise CountOverflow(f"count {n} exceeds 64-bit bound")
             if n:
-                yield letter, n
-            letter, n = head, k
-        if len(img) == 1:
+                yield ((letter, n),)
+            letter, n = head, k * count
             continue
-        # The image's second run ends the merged first run.
-        if n > MAX_COUNT:
+        if count > MAX_COUNT // 2:
+            # Each copy holds at least two letters.
+            raise CountOverflow(f"{count} copies of an image of {len(img)} runs exceed 64-bit length")
+        # The image's second run ends its first run.
+        if head == letter:
+            yield ((head, checked_add(n, k)),)
+        elif n > MAX_COUNT:
             raise CountOverflow(f"count {n} exceeds 64-bit bound")
-        yield letter, n
+        elif n:
+            yield ((letter, n), img[0])
+        else:
+            yield img[:1]
         middle = img[1:-1]
         if count > 1:
+            # Each copy's last run merges with the next copy's first run
+            # into one seam run, when they hold the same letter.
             if img[-1][0] == head:
-                # Each copy's last run merges with the next copy's first run
-                # into one seam run.
-                seam = img[-1][1] + img[0][1]
-                if seam > MAX_COUNT:
-                    raise CountOverflow(f"count {seam} exceeds 64-bit bound")
-                unit = middle + ((head, seam),)
+                unit = middle + ((head, checked_add(img[-1][1], k)),)
             else:
                 unit = img[1:] + img[:1]
-            for _ in range(count - 1):
-                yield from unit
-        yield from middle
+            copies = count - 1
+            per = _BLOCK_RUNS // len(unit) or 1
+            if copies > per:
+                block = unit * per
+                for _ in range(copies // per):
+                    yield block
+                copies %= per
+            if copies:
+                yield unit * copies
+        if middle:
+            yield middle
         letter, n = img[-1]
     if n > MAX_COUNT:
         raise CountOverflow(f"count {n} exceeds 64-bit bound")
     if n:
-        yield letter, n
+        yield ((letter, n),)
+
+
+def apply(g: BinaryMorphism, w: Word) -> Word:
+    """The image g(w), collected from the pieces that image_runs streams,
+    so every run is checked against MAX_COUNT."""
+    out: list[Run] = []
+    for piece in _pieces(g, w):
+        out += piece
+    return Word(tuple(out))
+
+
+def image_runs(g: BinaryMorphism, w: Word) -> Iterator[Run]:
+    """The runs of g(w), one at a time, as apply collects them.
+
+    It holds the pending run and one block of an image's copies, so its
+    memory is O(runs of g and w) whatever the length of g(w).  Read to its
+    end, it raises CountOverflow where apply does.
+    """
+    return chain.from_iterable(_pieces(g, w))
 
 
 def _first_mismatch(u: Iterator[Run], v: Iterator[Run]) -> tuple[int, Run | None, Run | None] | None:

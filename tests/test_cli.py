@@ -368,7 +368,10 @@ def test_sweep_flags_are_the_fields_of_sweep_config():
     assert cli.SWEEP_BOUNDS == tuple(f.name for f in dataclasses.fields(sweep.SweepConfig))
 
 
-def test_sweep_without_flags_takes_the_config_defaults(monkeypatch, capsys):
+@pytest.fixture
+def sweep_configs(monkeypatch):
+    """The configs that sweep commands pass to run_sweep, which stops each
+    with OSError, so that the command exits 2 before any work."""
     configs = []
 
     def record_config(config):
@@ -376,9 +379,27 @@ def test_sweep_without_flags_takes_the_config_defaults(monkeypatch, capsys):
         raise OSError("stop")
 
     monkeypatch.setattr(sweep, "run_sweep", record_config)
+    return configs
+
+
+def test_sweep_without_flags_takes_the_config_defaults(sweep_configs, capsys):
     assert run(capsys, "sweep")[0] == 2
     assert run(capsys, "sweep", "--max-p", "2", "--parallel", "2")[0] == 2
-    assert configs == [sweep.SweepConfig(), sweep.SweepConfig(max_p=2, parallel=2)]
+    assert sweep_configs == [sweep.SweepConfig(), sweep.SweepConfig(max_p=2, parallel=2)]
+
+
+def test_long_workflow_sweeps_fit_the_pair_budget(sweep_configs, capsys):
+    # The weekly workflow runs only on the CI host, so a budget that
+    # refused one of its sweeps with exit 3 would show nowhere else.
+    workflow = README.parent / ".github" / "workflows" / "long.yml"
+    for line in workflow.read_text().splitlines():
+        if line.strip().startswith("run:") and " sweep " in line:
+            env, python, flag, module, *argv = shlex.split(line.strip().removeprefix("run:"))
+            assert (env, python, flag, module) == ("PYTHONPATH=src", "python", "-m", "trimorph.cli")
+            assert run(capsys, *argv)[0] == 2
+    counts = [config.pair_count() for config in sweep_configs]
+    assert counts == [2_119_936, 4_177_936]
+    assert max(counts) <= sweep.MAX_PAIRS
 
 
 def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypatch):

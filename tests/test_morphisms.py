@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
@@ -39,7 +41,7 @@ from trimorph.morphisms import (
     to_triangular,
 )
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import MAX_COUNT, CountOverflow, ParseError, Word
+from trimorph.words import MAX_COUNT, CountOverflow, ParseError, Word, push_run
 
 
 def m(text: str) -> BinaryMorphism:
@@ -240,7 +242,7 @@ def counted_words(draw, letter_counts):
 def stream_inputs(draw):
     """A morphism with counts up to near 2^64 and a word to apply it to.
     A multi-run image is copied at most 3 times, or more than MAX_COUNT // 2
-    times, which both sides refuse at once."""
+    times, which every side refuses at once."""
     g = BinaryMorphism(*(draw(counted_words(lambda _: counts())) for _ in "ab"))
 
     def copies(letter):
@@ -261,17 +263,67 @@ def stream_inputs(draw):
 @example((BinaryMorphism(word_of(("a", 2**63), ("b", 1), ("a", 2**63)), Word.parse("b")),
           Word.parse("aa")))
 @example((m("a=ab,b=b"), word_of(("a", MAX_COUNT // 2 + 1))))
-def test_image_runs_equal_apply(inputs):
-    # apply is the reference: the stream yields its runs, and raises
-    # CountOverflow exactly on the inputs apply refuses.
+def test_apply_and_image_runs_equal_a_run_reference(inputs):
+    # Both sides give the runs of the reference, and raise CountOverflow
+    # exactly on the inputs it refuses.
     g, w = inputs
     try:
-        expected = apply(g, w).runs
+        expected = reference_runs(g, w)
     except CountOverflow:
+        with pytest.raises(CountOverflow):
+            apply(g, w)
         with pytest.raises(CountOverflow):
             list(image_runs(g, w))
     else:
+        assert apply(g, w).runs == expected
         assert tuple(image_runs(g, w)) == expected
+
+
+def reference_runs(g, w):
+    """g(w) pushed run by run, each copy of a multi-run image in full."""
+    out = []
+    for letter, count in w.runs:
+        image = (g.image_a if letter == "a" else g.image_b).runs
+        if len(image) < 2:
+            # An empty image, or one run multiplied by the count.
+            for x, k in image:
+                push_run(out, x, k * count)
+            continue
+        if count > MAX_COUNT // 2:
+            raise CountOverflow(f"{count} copies of a word of two or more letters")
+        assert count <= 3, "stream_inputs copies a multi-run image at most 3 times"
+        for _ in range(count):
+            for run in image:
+                push_run(out, *run)
+    if any(count > MAX_COUNT for _, count in out):
+        raise CountOverflow("a run exceeds 64-bit bound")
+    return tuple(out)
+
+
+@pytest.mark.parametrize("image", ["ab", "aba", "abbaab"])
+def test_copies_across_blocks_match_strings(image):
+    # A long image's copies are yielded in blocks of whole copies, 2,048 of
+    # a two-run copy and 1,024 of a four-run one; these counts fall on and
+    # past the edges of one and of more blocks.
+    g = m(f"a=ba,b={image}")
+    for copies in (1, 1025, 1026, 2049, 2050, 4097, 6000):
+        w = word_of(("a", 1), ("b", copies), ("a", 2))
+        expected = napply("ba", image, "a" + "b" * copies + "aa")
+        assert apply(g, w).to_text() == expected
+        assert tuple(image_runs(g, w)) == Word.parse(expected).runs
+
+
+def test_a_long_commuting_walk_holds_a_block_at_a_time():
+    # g(g(b)) is (b^N a)^N a, about 2N runs; one tuple of all its copies
+    # would hold about 3 MB.
+    g = BinaryMorphism(Word.parse("a"), word_of(("b", 200_000), ("a", 1)))
+    tracemalloc.start()
+    try:
+        assert direct_commute(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def string_difference(g1, g2):
