@@ -79,6 +79,8 @@ IDENTITY = BinaryMorphism(WORD_A, WORD_B)
 # many runs: tuple repetition, not the generator, sets the speed of a long
 # image, while a stream still holds only O(runs of g and w).
 _BLOCK_RUNS = 4096
+# Looked up once: each lookup of a classmethod builds a new bound method.
+_flatten = chain.from_iterable
 
 
 def _pieces(g: BinaryMorphism, w: Word) -> Iterator[tuple[Run, ...]]:
@@ -121,7 +123,7 @@ def _pieces(g: BinaryMorphism, w: Word) -> Iterator[tuple[Run, ...]]:
         elif n:
             yield ((letter, n), img[0])
         else:
-            yield img[:1]
+            yield (img[0],)
         middle = img[1:-1]
         if count > 1:
             # Each copy's last run merges with the next copy's first run
@@ -164,7 +166,7 @@ def image_runs(g: BinaryMorphism, w: Word) -> Iterator[Run]:
     memory is O(runs of g and w) whatever the length of g(w).  Read to its
     end, it raises CountOverflow where apply does.
     """
-    return chain.from_iterable(_pieces(g, w))
+    return _flatten(_pieces(g, w))
 
 
 def _first_mismatch(u: Iterator[Run], v: Iterator[Run]) -> tuple[int, Run | None, Run | None] | None:
