@@ -7,15 +7,22 @@ reports the first collision, so the witness is canonical.
 
 Taking the occurrence matrix is a monoid homomorphism, so two sequences can
 compose to the same morphism only if their matrix products are equal.  The
-search walks the matrix products, one 2x2 integer product a sequence, and
-composes a sequence only when its matrix repeats an earlier one: a
-sequence with a new matrix cannot close a relation.  Equal matrices
-are only a candidate; the exact compositions decide, so the witness is the
-one a search composing every sequence would report.
+search walks the matrix products, one 2x2 integer product a sequence: a
+sequence with a new matrix cannot close a relation.  A sequence whose matrix
+repeats an earlier one is keyed by its matrix and a Karp-Rabin fingerprint
+of its composition (Karp and Rabin, 1987): for each image, the pair
+(H(w), X^|w|) modulo the prime MODULUS, in a base X drawn once per process.
+Fingerprints extend like compositions, from those of a prefix, and a run of
+k letters costs O(log k), so no word is built for them.  The search composes
+only when the matrix and the fingerprint both repeat, and the exact
+compositions decide, so a fingerprint collision costs time and never
+changes the answer: the witness is the one a search composing every
+sequence would report.
 
-matrix_collision is the same walk without the composition step.  A
-collision-free matrix walk is a sound certificate that no morphism relation
-exists at that depth, while a matrix collision says nothing either way.
+matrix_collision is the same walk without the fingerprint and composition
+steps.  A collision-free matrix walk is a sound certificate that no morphism
+relation exists at that depth, while a matrix collision says nothing either
+way.
 
 The module needs only morphisms and words, so the `free` command loads
 neither the classifier nor dataclasses: SearchAborted and the Value base of
@@ -23,8 +30,10 @@ Relation live in words.
 """
 from __future__ import annotations
 
+import os
+
 from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import MAX_COUNT, SearchAborted, Value
+from .words import A, MAX_COUNT, SearchAborted, Value
 
 
 class Relation(Value):
@@ -42,19 +51,49 @@ DEFAULT_DEPTH = 6
 # The last level of the search holds 2^depth matrix products.
 MAX_DEPTH = 16
 
+# Fingerprints are reduced modulo this Mersenne prime.
+MODULUS = 2**127 - 1
+# The base X, drawn per process so that no fixed input is chosen against it.
+_BASE = int.from_bytes(os.urandom(16), "big")
 
-def _composition(seq: tuple[int, ...], gens: tuple, products: dict) -> BinaryMorphism:
-    """The left-to-right composition of seq, extended from its longest prefix
-    in products; every prefix composed on the way is kept there.  products
-    holds each generator under its one-letter sequence."""
+
+def _prefix_value(seq: tuple[int, ...], memo: dict, extend, gens: tuple):
+    """The value of seq, extended from its longest prefix in memo by
+    extend(value, generator), one index at a time; every prefix reached on
+    the way is kept in memo."""
     k = len(seq)
-    while seq[:k] not in products:
+    while seq[:k] not in memo:
         k -= 1
-    value = products[seq[:k]]
+    value = memo[seq[:k]]
     for k in range(k, len(seq)):
-        value = compose(value, gens[seq[k] - 1])
-        products[seq[: k + 1]] = value
+        value = extend(value, gens[seq[k] - 1])
+        memo[seq[: k + 1]] = value
     return value
+
+
+def _fingerprint_after(fp: tuple, g: BinaryMorphism) -> tuple:
+    """The fingerprints of the images of a and b under f g, from those of f.
+
+    A fingerprint of w is (H(w), X^|w|), and that of uv is
+    (H(u) X^|v| + H(v), X^|u| X^|v|).  f(g(x)) concatenates, run by run
+    of g(x), powers of f(a) and f(b); a power w^k is appended by doubling,
+    in O(log k) products.
+    """
+    modulus = MODULUS
+    out = []
+    for runs in (g.image_a.runs, g.image_b.runs):
+        h, r = 0, 1
+        for letter, k in runs:
+            hw, rw = fp[letter != A]
+            while True:
+                if k & 1:
+                    h, r = (h * rw + hw) % modulus, r * rw % modulus
+                k >>= 1
+                if not k:
+                    break
+                hw, rw = hw * (rw + 1) % modulus, rw * rw % modulus
+        out.append((h, r))
+    return tuple(out)
 
 
 def _first_collision(
@@ -77,8 +116,13 @@ def _first_collision(
     gens = (g1, g2)
     steps = ((1, g1.rows), (2, g2.rows))
     first: dict = {}  # matrix product -> first sequence with it
-    seen: dict = {}  # composition -> first sequence with it, for repeated matrices only
+    # (matrix, fingerprint) -> the sequences with it, of distinct compositions,
+    # for repeated matrices only
+    seen: dict = {}
     products: dict = {(1,): g1, (2,): g2}
+    # The identity's images a and b, with letter values 1 and 2; every
+    # fingerprint extended from them is reduced modulo MODULUS.
+    fingerprints: dict = {(): ((1, _BASE), (2, _BASE))}
     # Each level lists the sequences of one length, in lexicographic order,
     # with their matrix products; extending each in turn by 1 and by 2 keeps
     # the next level in that order.
@@ -97,15 +141,21 @@ def _first_collision(
                     continue
                 if not exact:
                     return earlier, seq
-                # Equal compositions have equal matrices, so the first sequence
-                # of a matrix enters seen, once, when the matrix first repeats;
-                # None then marks the matrix as entered.
+                # Equal compositions have equal matrices and fingerprints, so
+                # the first sequence of a matrix enters seen, once, when the
+                # matrix first repeats; None then marks the matrix as entered.
                 if earlier is not None:
-                    seen[_composition(earlier, gens, products)] = earlier
+                    fp = _prefix_value(earlier, fingerprints, _fingerprint_after, gens)
+                    seen[mat, fp] = [earlier]
                     first[mat] = None
-                found = seen.setdefault(_composition(seq, gens, products), seq)
-                if found is not seq:
-                    return found, seq
+                fp = _prefix_value(seq, fingerprints, _fingerprint_after, gens)
+                candidates = seen.setdefault((mat, fp), [])
+                for found in candidates:
+                    if _prefix_value(found, products, compose, gens) == _prefix_value(
+                        seq, products, compose, gens
+                    ):
+                        return found, seq
+                candidates.append(seq)
         level = nxt
     return None
 

@@ -501,13 +501,16 @@ def test_each_command_loads_only_what_it_runs(argv, unloaded):
 
 
 def test_out_of_memory_exits_three():
-    # From depth 12 on, most sequences of the relation search repeat a
-    # matrix and are composed, and their words grow exponentially: at depth
-    # 13 they outgrow a 1 GiB address-space limit (set in the child only).
+    # a -> a, b -> (ba)^n b commute for every n, so (1, 2) and (2, 1) share
+    # their matrix and their fingerprint, and the search composes both to
+    # confirm the relation: images of about 10^8 b's, which outgrow a 1 GiB
+    # address-space limit (set in the child only).
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = run_module("free", "a=a,b=bab", "a=aa,b=bab", "--depth", "13", preexec_fn=limit_memory)
+    g1 = "a=a,b=" + "ba" * 9999 + "b"
+    g2 = "a=a,b=" + "ba" * 9998 + "b"
+    proc = run_module("free", g1, g2, "--depth", "2", preexec_fn=limit_memory)
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 

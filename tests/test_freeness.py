@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import morphisms, triangular_morphisms
+from trimorph import freeness
 from trimorph.freeness import (
     MAX_DEPTH,
     Relation,
@@ -159,8 +161,11 @@ HUGE_PAIRS = (
 )
 
 
-def test_search_matches_reference_on_a_small_sweep():
-    morphs = enumerate_morphisms(SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=1))
+SMALL_SWEEP = SweepConfig(max_s=2, max_p=2, max_exp=1, max_bonly_exp=1)
+
+
+def assert_small_sweep_matches_reference():
+    morphs = enumerate_morphisms(SMALL_SWEEP)
     for g1 in morphs:
         for g2 in morphs:
             assert_matches_reference(g1, g2, 4)
@@ -170,3 +175,76 @@ def test_search_matches_reference_on_a_small_sweep():
             assert_matches_reference(g1, g2, 4)
             aborted += isinstance(outcome(find_relation, g1, g2, 4), tuple)
     assert aborted == 6
+
+
+def test_search_matches_reference_on_a_small_sweep():
+    assert_small_sweep_matches_reference()
+
+
+def counting_compose(monkeypatch) -> list:
+    """Count the compositions the search makes, one entry per call."""
+    calls: list = []
+
+    def compose_counted(f, g):
+        calls.append(None)
+        return compose(f, g)
+
+    monkeypatch.setattr(freeness, "compose", compose_counted)
+    return calls
+
+
+# Modulo 2, with the base X pinned to 0 or 1, a fingerprint is at most the
+# last letters or the letter counts of the images, so most sequences whose
+# matrix repeats, and with X = 1 all of them, repeat a fingerprint too, and
+# only the compositions tell them apart: the confirmation step, which the
+# real modulus leaves idle.
+TINY_MODULUS = 2
+
+
+@pytest.mark.parametrize("base", [0, 1])
+def test_fingerprint_collisions_keep_the_small_sweep_answers(base, monkeypatch):
+    monkeypatch.setattr(freeness, "MODULUS", TINY_MODULUS)
+    monkeypatch.setattr(freeness, "_BASE", base)
+    assert_small_sweep_matches_reference()
+    # Some free pair composes, so a collision that is no relation was skipped.
+    calls = counting_compose(monkeypatch)
+    morphs = enumerate_morphisms(SMALL_SWEEP)
+    skipped = 0
+    for g1 in morphs:
+        for g2 in morphs:
+            calls.clear()
+            skipped += find_relation(g1, g2, 4) is None and bool(calls)
+    assert skipped > 0
+
+
+@given(morphisms(4), morphisms(4), st.integers(1, 6))
+@settings(max_examples=300)
+def test_search_with_colliding_fingerprints_matches_reference(g1, g2, depth):
+    for base in (0, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(freeness, "MODULUS", TINY_MODULUS)
+            patch.setattr(freeness, "_BASE", base)
+            assert_matches_reference(g1, g2, depth)
+
+
+def test_commuting_matrices_of_a_free_pair_compose_nothing(monkeypatch):
+    # (1, 2) and (2, 1) share a matrix, and so do many longer sequences, but
+    # no two share a composition: every fingerprint differs, and nothing
+    # is composed.
+    g1, g2 = m("a=a,b=baabaab"), m("a=aa,b=bbaba")
+    assert matrix_collision(g1, g2, 2)
+    calls = counting_compose(monkeypatch)
+    assert find_relation(g1, g2, 6) is None
+    assert not calls
+
+
+def test_deep_free_search_holds_no_words():
+    # Composing the sequences whose matrix repeats took 311 MB at depth 12
+    # and more than 1 GiB at depth 13; their fingerprints take about 16 MB.
+    tracemalloc.start()
+    try:
+        assert find_relation(m("a=a,b=bab"), m("a=aa,b=bab"), 13) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
