@@ -126,8 +126,8 @@ def _omega(args) -> Results:
 
 
 MAX_GAPS = 5_000_000
-# The literal expansion reads fewer than upto + p gaps, and the p b's of
-# h(b) are part of the input, so the budget bounds upto alone.
+# The literal expansion builds the shortest prefix with upto + 1 b's and
+# reads its upto gaps, so the budget bounds upto alone.
 MAX_DIRECT_GAPS = 4_000_000
 
 

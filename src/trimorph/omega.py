@@ -8,13 +8,18 @@ letter to the infinite word
     omega(h) = b v h(v) h^2(v) h^3(v) ...
 
 which satisfies h(omega) = a^gamma1 omega.  The word is expanded literally
-piece by piece and read two ways: omega_prefix appends the pieces,
-gap_sequence_direct reads their gaps.  Both take v and h from _expansion,
-which checks the form, and expand only what they keep of each piece.  Its
-structure is carried by the gap sequence: gap(h, i) counts the a's between
-the i-th and (i+1)-th b of omega(h).  With p >= 2 occurrences of b in
-h(b), interior gaps alpha_1 ... alpha_(p-1), and i = p^m * j with j not
-divisible by p and lowest nonzero base-p digit d, the gaps obey
+in one place, _expansion: since h^k(b) = a^(gamma1 G(s, k)) T_k for the
+prefix T_k = b v h(v) ... h^(k-1)(v), each T_(k+1) = T_k h^k(v) is built
+from copies of T_k, and the expansion stops at the shortest prefix that
+holds the letters, or the b's, still needed.  omega_prefix returns that
+prefix and gap_sequence_direct reads its gaps; neither uses the closed form
+below or any recurrence on gaps.
+
+The structure of omega(h) is carried by the gap sequence: gap(h, i)
+counts the a's between the i-th and (i+1)-th b of omega(h).  With p >= 2
+occurrences of b in h(b), interior gaps alpha_1 ... alpha_(p-1), and
+i = p^m * j with j not divisible by p and lowest nonzero base-p digit d,
+the gaps obey
 
     gap(h, i) = alpha_d * s^m + (gamma1 + gamma2) * G(s, m)
 
@@ -25,6 +30,8 @@ agree, in which case omega(h) = (b a^alpha)^infinity.
 """
 from __future__ import annotations
 
+from itertools import islice
+
 from .morphisms import BinaryMorphism, Core, TriangularForm, apply, b_image_shape, shape_to_word
 from .numtheory import val_and_digit
 from .words import (
@@ -32,10 +39,9 @@ from .words import (
     B,
     MAX_COUNT,
     CountOverflow,
+    Run,
     Word,
-    checked_add,
-    concat,
-    take_prefix,
+    push_run,
 )
 
 
@@ -69,40 +75,92 @@ def _head(w: Word, sizes: dict[str, int], n: int) -> Word:
     return w
 
 
-def _expansion(form: TriangularForm) -> tuple[Word, BinaryMorphism]:
-    """The first piece v of omega(h) and h itself.  The pieces after v are
-    h(v), h^2(v), ...; a nonsingular h erases no letter, so a prefix of the
-    next piece long enough for the caller is h(u) for the shortest prefix u
-    of the current piece whose image is long enough (see _head), and only
-    u is expanded."""
+def _cut(runs: tuple[Run, ...], over: int, letters: bool) -> tuple[int, int]:
+    """(end, trim): dropping over letters, or over b's, from the end of runs,
+    fewer than they hold, as late as possible keeps runs[:end] with trim
+    taken off its last run.  The walk reads only the runs it drops."""
+    end = len(runs)
+    while True:
+        letter, count = runs[end - 1]
+        weight = count if letters or letter == B else 0
+        if weight > over:
+            return end, over
+        over -= weight
+        end -= 1
+
+
+def _expansion(form: TriangularForm, n: int, letters: bool) -> Word:
+    """The shortest prefix of omega(h) that holds n letters, or n b's when
+    letters is false; when h(b) holds one b, omega(h) = b a^infinity holds
+    no second b, and only letters are asked of it.
+
+    The prefixes T_k = b v h(v) ... h^(k-1)(v) grow by T_(k+1) = T_k h^k(v),
+    where h^k(a) = a^(s^k) and h^k(b) = a^(gamma1 G(s, k)) T_k, so a level
+    applies h^k to the runs of v alone and copies T_k whole.  The weights of
+    T_k and of the images of a and b under h^k are kept by arithmetic, so
+    the last level applies h^k only to the shortest head of v whose image
+    is heavy enough (see _head) and cuts that image to fit (see _cut).  The
+    images of h^k are built unchecked, so a count raises CountOverflow only
+    where the image of that head emits it; for n letters the images of a
+    and the padding are capped at n, which cuts no letter of the prefix.
+    """
     if not form.is_nonsingular():
         raise NotApplicable("omega needs a nonsingular form")
     tail = right_tail(form)
     if tail.is_empty():
         raise OmegaUndefined("h(b) = a^gamma1 b has an empty tail")
-    return tail, form.to_morphism()
+    if n == 0:
+        return Word()
+    if n > MAX_COUNT:
+        raise CountOverflow(f"a prefix of {n} letters or b's exceeds the 64-bit bound")
+    if form.b_count == 1:
+        # Every piece is a power of a, so omega(h) = b a^infinity.
+        return Word.from_runs(((B, 1), (A, n - 1)))
+    gamma1, s = form.bpart.gamma1, form.s
+    tail_a, tail_b = form.a_count - gamma1, form.b_count - 1
+    runs: list[Run] = [(B, 1)]
+    # T_k holds weight; h^k(a) = a^power and h^k(b) = a^(gamma1 grown) T_k,
+    # with grown = G(s, k).
+    weight, power, grown = 1, 1, 0
+    while weight < n:
+        count_a, pad = power, gamma1 * grown
+        if letters:
+            # A run of n a's or more ends the prefix: the cap cuts none of its letters.
+            count_a, pad = min(count_a, n), min(pad, n)
+            sizes = {A: count_a, B: pad + weight}
+        elif pad > MAX_COUNT:
+            # Each copy of h^k(b) that a head emits has a kept b after its padding.
+            raise CountOverflow(f"count {pad} exceeds 64-bit bound")
+        else:
+            sizes = {A: 0, B: weight}
+        # Copied at its known size: a tuple grown from an iterator, by
+        # repeated resizing, left the heap larger on every call.
+        image_b = tuple(runs)
+        if pad:
+            image_b = ((A, pad),) + image_b
+        need = n - weight
+        head = _head(tail, sizes, need)
+        image = apply(BinaryMorphism(Word(((A, count_a),)), Word(image_b)), head).runs
+        held = sum(sizes[letter] * count for letter, count in head.runs)
+        end, over = _cut(image, held - need, letters) if held >= need else (len(image), 0)
+        push_run(runs, *image[0])
+        runs += islice(image, 1, end)
+        if over:
+            letter, last = runs[-1]
+            runs[-1] = (letter, last - over)
+        # Let the image and the copy of T_k go before the prefix is copied again.
+        del image, image_b
+        weight += held
+        power *= s
+        grown = s * grown + 1
+    return Word(tuple(runs))
 
 
 def omega_prefix(form: TriangularForm, n: int) -> Word:
     """The first n letters of omega(h)."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    piece, h = _expansion(form)
-    if n == 0:
-        return Word()
-    if form.b_count == 1:
-        # Every piece is a power of a, so omega(h) = b a^infinity.
-        return Word.from_runs(((B, 1), (A, n - 1)))
-    sizes = {A: form.s, B: form.a_count + form.b_count}
-    acc, held = Word(((B, 1),)), 1
-    while True:
-        piece = take_prefix(piece, n - held)
-        acc = concat(acc, piece)
-        held += piece.length()
-        if held >= n:
-            return acc
-        # The cut kept all of piece, so the next piece starts with its image.
-        piece = apply(h, _head(piece, sizes, n - held))
+    return _expansion(form, n, letters=True)
 
 
 def _require_gapped(form: TriangularForm) -> Core:
@@ -170,29 +228,15 @@ def gap_sequence(form: TriangularForm, upto: int) -> list[int]:
 
 
 def gap_sequence_direct(form: TriangularForm, upto: int) -> list[int]:
-    """Gap values read off the literal expansion, piece by piece: with p >= 2
-    every piece holds a b, and the trailing padding of one piece and the
-    leading padding of the next make one gap, so a piece with N b's gives N
-    gaps.  Each piece is expanded only as far as the b's still needed, so
-    fewer than upto + p gaps are read."""
+    """Gap values read off the literal expansion: the shortest prefix of
+    omega(h) that holds upto + 1 b's starts and ends with a b, so its
+    interior gaps are the first upto gaps."""
     _require_gapped(form)
     if upto < 0:
         raise ValueError("upto must be nonnegative")
-    piece, h = _expansion(form)
-    gaps: list[int] = []
     if upto == 0:
-        return gaps
-    sizes = {A: 0, B: form.b_count}
-    pending = 0
-    while True:
-        shape = b_image_shape(piece)
-        gaps.append(checked_add(pending, shape.gamma1))
-        gaps.extend(shape.alphas)
-        if len(gaps) >= upto:
-            del gaps[upto:]
-            return gaps
-        pending = shape.gamma2
-        piece = apply(h, _head(piece, sizes, upto - len(gaps)))
+        return []
+    return list(b_image_shape(_expansion(form, upto + 1, letters=False)).alphas)
 
 
 def omega_eventually_periodic(form: TriangularForm) -> bool:

@@ -125,3 +125,26 @@ def test_a_failure_leaves_the_last_value_unpaired(bench_point, monkeypatch):
     key = f"cli_{first}_s"
     assert sorted(len(side["timings"][key]) for side in sides.values()) == [1, 2]
     assert bench_point.compare(sides["parent"], sides["change"])[key]["pairs"] == 1
+
+
+def test_both_sides_share_one_bytecode_cache_outside_the_checkouts(bench_point, monkeypatch):
+    # A __pycache__ that one checkout holds and the other lacks, or a caller
+    # that sets PYTHONDONTWRITEBYTECODE, must not make one side start faster.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    envs = {}
+
+    def run(argv, cwd, env, **kwargs):
+        envs[cwd] = dict(env)
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    for root in ROOTS.values():
+        bench_point.fresh(root, "-c", "pass")
+    parent, change = (envs[root] for root in ROOTS.values())
+    assert (parent.pop("PYTHONPATH"), change.pop("PYTHONPATH")) == (
+        str(ROOTS["parent"] / "src"), str(ROOTS["change"] / "src"))
+    assert parent == change
+    assert "PYTHONDONTWRITEBYTECODE" not in parent
+    cache = Path(parent["PYTHONPYCACHEPREFIX"])
+    assert cache == bench_point.pycache()
+    assert not any(cache.is_relative_to(root.resolve()) for root in ROOTS.values())

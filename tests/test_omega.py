@@ -8,7 +8,14 @@ import hypothesis.strategies as st
 
 from conftest import eventually_periodic_prefix, gapped_forms, npower
 from trimorph import omega
-from trimorph.morphisms import Core, TriangularForm, b_image_shape, parse_morphism, to_triangular
+from trimorph.morphisms import (
+    Core,
+    TriangularForm,
+    apply,
+    b_image_shape,
+    parse_morphism,
+    to_triangular,
+)
 from trimorph.numtheory import val_and_digit
 from trimorph.omega import (
     NotApplicable,
@@ -21,7 +28,7 @@ from trimorph.omega import (
     omega_prefix,
     right_tail,
 )
-from trimorph.words import CountOverflow
+from trimorph.words import MAX_COUNT, CountOverflow
 
 
 def form(text: str) -> TriangularForm:
@@ -139,6 +146,55 @@ def test_direct_gaps_expand_only_the_bs_they_need(monkeypatch, text):
         read.clear()
         assert gap_sequence_direct(f, upto) == gap_sequence(f, upto)
         assert upto <= sum(read) < upto + f.b_count
+
+
+@pytest.mark.parametrize(
+    "s, core, upto",
+    [
+        (2**40, Core(0, (0,), 0), 1000),
+        (2**33, Core(1, (1,), 0), 3),
+        (2**62, Core(3, (0,), 0), 7),
+        (2**20, Core(0, (1,), 0), 15),
+    ],
+)
+def test_direct_gaps_answer_where_a_whole_power_would_overflow(s, core, upto):
+    # h^k(a) = a^(s^k), and the padding gamma1 G(s, k), pass the 64-bit
+    # bound before the gaps do: only the counts that the kept b's need
+    # are emitted.
+    f = TriangularForm(s, core)
+    assert gap_sequence_direct(f, upto) == gap_sequence(f, upto)
+
+
+def test_prefix_answers_when_only_letters_past_it_overflow():
+    # h(v) = a^2 a^(2^64 - 1) b a b: the run after b a b passes the 64-bit
+    # bound, but the first 10 letters hold only 7 of its a's.
+    f = TriangularForm(2, Core(MAX_COUNT, (1,), 0))
+    assert omega_prefix(f, 10).runs == (("b", 1), ("a", 1), ("b", 1), ("a", 7))
+    assert omega_prefix(f, 2**62).runs == (("b", 1), ("a", 1), ("b", 1), ("a", 2**62 - 3))
+    with pytest.raises(CountOverflow):
+        omega_prefix(f, MAX_COUNT + 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["a=a,b=bab", "a=aa,b=abaaab", "a=a,b=babbab", "a=aaa,b=abaababab", "a=aa,b=bbbbb"]
+)
+def test_expansion_applies_powers_to_heads_of_the_tail(monkeypatch, text):
+    # Each level applies h^k to a head of v and copies T_k whole, so no
+    # word longer than v is ever expanded run by run.
+    f = form(text)
+    limit = len(right_tail(f).runs)
+    words = []
+
+    def recording(g, w):
+        words.append(w)
+        return apply(g, w)
+
+    monkeypatch.setattr(omega, "apply", recording)
+    for upto in (1, 2, 3, 50, 999, 2001):
+        words.clear()
+        assert gap_sequence_direct(f, upto) == gap_sequence(f, upto)
+        omega_prefix(f, 3 * upto)
+        assert words and max(len(w.runs) for w in words) <= limit
 
 
 def test_gap_sequence_overflows_exactly_where_gap_does():

@@ -32,9 +32,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -57,6 +59,14 @@ TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider")
 # How the benchmark starts the CLI entry point; `-m` would also load runpy.
 CLI = "import trimorph.cli; trimorph.cli.console_main()"
 CLI_REPEATS = 3
+
+
+def pycache() -> Path:
+    """The bytecode cache of both checkouts, emptied when the tool starts, so
+    neither side runs from a __pycache__ the other lacks, whatever the
+    checkouts hold and whatever PYTHONDONTWRITEBYTECODE says.  It mirrors
+    each source path, so the two sides never share an entry."""
+    return Path(tempfile.gettempdir()) / f"bench_point_pycache_{os.getpid()}"
 
 
 def cli_commands() -> tuple[tuple[str, ...], ...]:
@@ -118,9 +128,11 @@ def bench(root: Path, workload: str, seed: int) -> dict:
 def fresh(root: Path, *args: str) -> tuple[float, str]:
     """(wall seconds, stdout) of one fresh interpreter run on the checkout's
     package; raises RunFailed when it exits nonzero."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(pycache()))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, *args], cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        [sys.executable, *args], cwd=root, env=env,
         capture_output=True, text=True, timeout=BENCH_TIMEOUT,
     )
     elapsed = time.perf_counter() - start
@@ -245,10 +257,13 @@ def main() -> int:
              for name, root in roots.items()}
     outputs: dict[str, set[str]] = {}
     failure = None
+    shutil.rmtree(pycache(), ignore_errors=True)
     try:
         measure(roots, sides, args.seeds, cli_commands(), outputs)
     except (RunFailed, subprocess.TimeoutExpired, ValueError) as exc:
         failure = str(exc)
+    finally:
+        shutil.rmtree(pycache(), ignore_errors=True)
     for side in sides.values():
         side["summary"] = summarize(side)
     point = {
