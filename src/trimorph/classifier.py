@@ -10,9 +10,10 @@ full list of structural conditions without short-circuiting, and each case
 builds its own report, predicting commutation as the disjunction of its
 conditions.
 direct_commute(), which lives next to apply in morphisms and is imported
-here, is the independent oracle: it compares the run streams of the
-images of b, then of a, under both composition orders, with no structural
-reasoning, and stops at the first runs that differ.  The two must
+here, is the independent oracle: it compares the images of b, then of a,
+under both composition orders, with no structural reasoning, as plain
+strings when they are short and as run streams that stop at the first
+runs that differ when they are long.  The two must
 agree on every upper triangular pair; the sweep harness checks that
 exhaustively, running the oracle only on the pairs whose occurrence
 matrices commute (a pair whose matrices do not commute cannot commute).

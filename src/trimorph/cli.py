@@ -46,7 +46,8 @@ EXAMPLE_PAIRS: tuple[tuple[str, str, str], ...] = (
 
 
 # A handler returns (record, human line) pairs, the line None where a result
-# prints nothing in human mode, and whether it succeeded (exit 0, else 1).
+# prints nothing in human mode (or, for gaps, under --json, where records
+# replace the lines), and whether it succeeded (exit 0, else 1).
 # main sets each record's schema; classify and sweep set the same value.
 Results = tuple[list[tuple[dict, str | None]], bool]
 
@@ -60,7 +61,7 @@ def _check(args) -> Results:
 
     g1 = parse_morphism(args.g1)
     g2 = parse_morphism(args.g2)
-    # The oracle walks the runs of g(w) for w the images under the other
+    # first_difference walks the runs of g(w) for w the images under the other
     # morphism, and runs(g(w)) <= occ_a(w) runs(g(a)) + occ_b(w) runs(g(b)).
     for name, g, (a_row, b_row) in (("g1 g2", g1, g2.rows), ("g2 g1", g2, g1.rows)):
         bound = sum(a_row) * len(g.image_a.runs) + sum(b_row) * len(g.image_b.runs)
@@ -108,9 +109,10 @@ def _classify(args) -> Results:
 # Each budget is sized so that a request at the budget answers within a few
 # seconds and 1 GiB of memory on the densest words.
 MAX_OMEGA_LEN = 3_000_000
-# Runs of the two composed images under one order.  The oracle streams both
-# orders side by side in O(runs of the input), about 10 million runs a second
-# each on a 2-vCPU host, so a check at the budget walks for about a second.
+# Runs of the two composed images under one order.  first_difference streams
+# both orders side by side in O(runs of the input), about 10 million runs a
+# second each on a 2-vCPU host, so a check at the budget walks for about a
+# second.
 MAX_CHECK_RUNS = 10_000_000
 
 
@@ -149,7 +151,8 @@ def _gaps(args) -> Results:
         "source": "direct" if args.direct else "closed",
         "gaps": values,
     }
-    return [(record, " ".join(str(v) for v in values))], True
+    # The human line holds one str per gap at once: build it only to print it.
+    return [(record, None if args.json else " ".join(str(v) for v in values))], True
 
 
 def _conjugate(args) -> Results:

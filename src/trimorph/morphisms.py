@@ -16,10 +16,14 @@ exactly and reconstructs the morphism from it.
 The runs of g(w) are built in one place, _pieces, as tuples of runs:
 apply collects them into a word for compose and power, and image_runs
 streams them one run at a time.  direct_commute is the brute-force oracle
-every structural claim is checked against: it compares the streams of the
-composed images under both orders, with no structural reasoning, stopping
-at the first runs that differ; first_difference names the letter where
-they do.  The `check` command needs no other module.
+every structural claim is checked against: it compares the composed images
+under both orders, with no structural reasoning.  Images of at most
+MAX_TEXT_LETTERS letters, a length read exactly off the occurrence
+matrices, are compared as plain strings built by str.translate; longer
+ones as run streams, stopping at the first runs that differ, in memory
+proportional to the runs whatever the length.  first_difference compares
+the run streams and names the letter where they differ.  The `check`
+command needs no other module.
 """
 from __future__ import annotations
 
@@ -70,6 +74,23 @@ class BinaryMorphism(Value):
         if self.image_a.occ(B) != 0:
             raise NotUpperTriangular(f"image of a is {self.image_a.to_text()!r}")
         return TriangularForm(self.image_a.length(), b_image_shape(self.image_b))
+
+    @cached_property
+    def table(self) -> dict[int, str]:
+        """The str.translate table of g, the code point of each letter to
+        its image as a plain string, built once per morphism.  Only
+        direct_commute builds it, for images of at most MAX_TEXT_LETTERS
+        letters."""
+        return {_CODE_A: _letters(self.image_a), _CODE_B: _letters(self.image_b)}
+
+
+# The keys of a translate table.
+_CODE_A, _CODE_B = ord(A), ord(B)
+
+
+def _letters(w: Word) -> str:
+    """w as a plain string, the empty string for the empty word."""
+    return "".join([letter * count for letter, count in w.runs])
 
 
 IDENTITY = BinaryMorphism(WORD_A, WORD_B)
@@ -179,17 +200,60 @@ def _first_mismatch(u: Iterator[Run], v: Iterator[Run]) -> tuple[int, Run | None
     return None
 
 
+def _runs_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
+    """g1 g2 = g2 g1, comparing the run streams of the composed images of b
+    first, then those of a, and stopping at the first pair of runs that
+    differ."""
+    return _first_mismatch(image_runs(g1, g2.image_b), image_runs(g2, g1.image_b)) is None and (
+        _first_mismatch(image_runs(g1, g2.image_a), image_runs(g2, g1.image_a)) is None
+    )
+
+
+# Pairs whose images and composed images all hold at most this many letters
+# are compared as plain strings.  On the short images of the sweeps,
+# str.translate costs about a third of the run stream's generators; but a
+# string costs time and memory in proportion to letters where a stream costs
+# them in proportion to runs, so long images stay on the stream.
+MAX_TEXT_LETTERS = 2**12
+
+
+def _texts_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
+    """g1 g2 = g2 g1, comparing the composed images of b first, then those
+    of a, as plain strings."""
+    t1, t2 = g1.table, g2.table
+    return t2[_CODE_B].translate(t1) == t1[_CODE_B].translate(t2) and (
+        t2[_CODE_A].translate(t1) == t1[_CODE_A].translate(t2)
+    )
+
+
 def direct_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
-    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the run
-    streams of the composed images of b first, then those of a, and
-    stopping at the first pair of runs that differ.
+    """Brute-force oracle: g1 g2 = g2 g1 as morphisms, comparing the
+    composed images of b first, then those of a.
+
+    The length of each image is a column sum of the occurrence matrix, and
+    that of each composed image a column sum of M(g1) M(g2) or M(g2) M(g1).
+    When the images of g1 and g2 and all four composed images hold at most
+    MAX_TEXT_LETTERS letters, the images are compared as plain strings;
+    otherwise as run streams, which hold O(runs of g1 and g2) memory
+    whatever the length.  The own images are bounded too: against an
+    erasing partner every composed image is empty, however long the other
+    morphism's images are.
 
     The order changes no verdict, only the work: for an upper triangular
     pair both composed images of a are a^(st), so they always agree, and a
     pair that does not commute is settled by the images of b alone."""
-    return _first_mismatch(image_runs(g1, g2.image_b), image_runs(g2, g1.image_b)) is None and (
-        _first_mismatch(image_runs(g1, g2.image_a), image_runs(g2, g1.image_a)) is None
-    )
+    (aa1, ab1), (ba1, bb1) = g1.rows
+    (aa2, ab2), (ba2, bb2) = g2.rows
+    # |g(a)| and |g(b)|; |g1(g2(x))| is |g1(a)| occ_a(g2(x)) + |g1(b)| occ_b(g2(x)).
+    a1, b1, a2, b2 = aa1 + ba1, ab1 + bb1, aa2 + ba2, ab2 + bb2
+    bound = MAX_TEXT_LETTERS
+    if (
+        a1 <= bound and b1 <= bound and a2 <= bound and b2 <= bound
+        and a1 * ab2 + b1 * bb2 <= bound and a2 * ab1 + b2 * bb1 <= bound
+        and a1 * aa2 + b1 * ba2 <= bound and a2 * aa1 + b2 * ba1 <= bound
+    ):
+        return _texts_commute(g1, g2)
+    return _runs_commute(g1, g2)
 
 
 class Difference(Value):
@@ -208,8 +272,9 @@ class Difference(Value):
 
 
 def first_difference(g1: BinaryMorphism, g2: BinaryMorphism) -> Difference | None:
-    """The first letter at which g1 g2 and g2 g1 differ, by the comparison
-    direct_commute makes, or None when they commute."""
+    """The first letter at which g1 g2 and g2 g1 differ, comparing the run
+    streams of the composed images of b first, then those of a, as
+    direct_commute does past MAX_TEXT_LETTERS, or None when they commute."""
     for image, w1, w2 in ((B, g2.image_b, g1.image_b), (A, g2.image_a, g1.image_a)):
         left, right = image_runs(g1, w1), image_runs(g2, w2)
         found = _first_mismatch(left, right)

@@ -11,9 +11,8 @@ Taking the occurrence matrix is a monoid homomorphism, so a pair whose
 matrices do not commute cannot commute either.  The sweep classifies every
 pair, screens it by whether its matrices commute and runs the oracle only
 on the pairs that pass; on the default bounds that is 26,936 of 234,256.
-The oracle streams the composed images run by run and stops at the first
-runs that differ, so of those pairs only the commuting ones are walked to
-the end.
+No composed image of those pairs holds more than 57 letters, so the oracle
+compares them as plain strings (see morphisms.MAX_TEXT_LETTERS).
 The matrices are upper triangular, ((s, e), (0, p)), so the screen is one
 cross product: they commute iff e1 (p2 - s2) = e2 (p1 - s1).  A screened
 pair's oracle answer is False, which is what the oracle would return.  The

@@ -99,9 +99,10 @@ class Value:
     it derives from them, in its own __init__ and nothing assigns them
     after, so values are immutable by convention.  Each subclass lists them
     all in __slots__, so it refuses any other attribute; BinaryMorphism
-    alone keeps a __dict__, for the rows and form it computes lazily.  It
-    is a plain class because every command builds values,
-    and importing dataclasses would cost each one a few milliseconds.
+    alone keeps a __dict__, for the rows, form and translate table it
+    computes lazily.  It is a plain class because every command builds
+    values, and importing dataclasses would cost each one a few
+    milliseconds.
     """
 
     __slots__ = ()

@@ -137,6 +137,11 @@ def test_gaps_json_record(capsys):
     assert record["source"] == "closed"
     assert record["gaps"][0] == 1
     assert record["gaps"][5] == 2
+    # The human line holds one str per gap at once: under --json, where it
+    # is not printed, it is not built.
+    args = cli.build_parser().parse_args(["gaps", "a=a,b=babaab", "--upto", "6", "--json"])
+    [(_, line)], _ = cli._gaps(args)
+    assert line is None
 
 
 def test_conjugate(capsys):

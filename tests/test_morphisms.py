@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -17,8 +19,10 @@ from conftest import (
     triangular_morphisms,
     word_texts,
 )
+from oracle_paths import box_agrees, paths_agree
 from trimorph.classifier import direct_commute
 from trimorph.morphisms import (
+    MAX_TEXT_LETTERS,
     BinaryMorphism,
     BOnly,
     Core,
@@ -41,7 +45,7 @@ from trimorph.morphisms import (
     to_triangular,
 )
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import MAX_COUNT, CountOverflow, ParseError, Word, push_run
+from trimorph.words import MAX_COUNT, WORD_A, CountOverflow, ParseError, Word, push_run
 
 
 def m(text: str) -> BinaryMorphism:
@@ -320,6 +324,80 @@ def test_a_long_commuting_walk_holds_a_block_at_a_time():
     tracemalloc.start()
     try:
         assert direct_commute(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_oracle_paths_agree_on_the_screened_default_pairs():
+    assert box_agrees() == (26_936, 3_710)
+
+
+# The rungs (p, q) of the power ladder of the benchmark's verdicts workload:
+# b-counts p = r^m and q = r^n.
+LADDER = ((2, 4), (4, 8), (9, 27), (4, 32), (8, 16), (8, 32), (16, 32))
+
+
+def ladder_morphisms(p: int, rng: random.Random) -> list[BinaryMorphism]:
+    """a -> a and a -> aa, each with four images of b holding p b's:
+    (b a)^(p-1) b and (b aa)^(p-1) b, which commute with the same form at
+    any other b-count, and two with paddings in [0, 2] and interior gaps in
+    [1, 2] drawn from rng."""
+    images = ["b" + "ab" * (p - 1), "b" + "aab" * (p - 1)]
+    for _ in range(2):
+        gaps = "".join("a" * rng.randint(1, 2) + "b" for _ in range(p - 1))
+        images.append("a" * rng.randint(0, 2) + "b" + gaps + "a" * rng.randint(0, 2))
+    return [m(f"a={'a' * s},b={image}") for s in (1, 2) for image in images]
+
+
+def test_oracle_paths_agree_on_the_ladder_rungs():
+    rng = random.Random(25)
+    pairs = []
+    for p, q in LADDER:
+        low, high = ladder_morphisms(p, rng), ladder_morphisms(q, rng)
+        for g, h in product(low, high):
+            pairs += [(g, h), (h, g)]
+    assert paths_agree(pairs) == (896, 30)
+
+
+def test_the_string_path_ends_at_its_bound(monkeypatch):
+    streamed = []
+
+    def counting_image_runs(g, w):
+        streamed.append(w)
+        return image_runs(g, w)
+
+    monkeypatch.setattr("trimorph.morphisms.image_runs", counting_image_runs)
+    assert MAX_TEXT_LETTERS == 64 * 64 == 17 * 241 - 1
+    # longest counts the letters of the longest image or composed image:
+    # b^64 against b^64 composes to b^4096 both ways, b^63 a against b^64 to
+    # (b^63 a)^64 and b^4032 a, a^64 against a^64 to a^4096, and each has a
+    # pair one letter over.  Against the erasing morphism every composed
+    # image is empty, so the image of b is the longest.
+    for g1, g2, commute, longest in (
+        ("a=" + "a" * 64 + ",b=b", "a=" + "a" * 64 + ",b=bb", True, 4096),
+        ("a=" + "a" * 17 + ",b=b", "a=" + "a" * 241 + ",b=bb", True, 4097),
+        ("a=a,b=" + "b" * 64, "a=aa,b=" + "b" * 64, True, 4096),
+        ("a=a,b=" + "b" * 17, "a=aa,b=" + "b" * 241, True, 4097),
+        ("a=a,b=" + "b" * 63 + "a", "a=a,b=" + "b" * 64, False, 4096),
+        ("a=a,b=" + "b" * 16 + "a", "a=a,b=" + "b" * 241, False, 4097),
+        ("a=a,b=" + "b" * 4096, "a=eps,b=eps", True, 4096),
+        ("a=a,b=" + "b" * 4097, "a=eps,b=eps", True, 4097),
+    ):
+        streamed.clear()
+        assert direct_commute(m(g1), m(g2)) is commute
+        assert bool(streamed) is (longest > MAX_TEXT_LETTERS)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["long-first", "erasing-first"])
+def test_a_long_image_against_an_erasing_partner_stays_on_the_stream(order):
+    # Every composed image is empty, so only the bound on the morphisms' own
+    # images keeps the string path from writing out 10^12 b's.
+    pair = (BinaryMorphism(WORD_A, Word.single("b", 10**12)), m("a=eps,b=eps"))[::order]
+    tracemalloc.start()
+    try:
+        assert direct_commute(*pair)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
