@@ -4,8 +4,9 @@ Morphism arguments use the syntax 'a=<word>,b=<word>' where each word is a
 nonempty string over {a,b} or the literal 'eps'; whitespace is ignored.
 
 Exit codes: 0 success (and true for assertions), 1 asserted property false,
-2 usage or parse error, a negative sweep bound or --parallel below 1, or an
---output file that cannot be written, 3 arithmetic overflow, aborted search
+2 usage or parse error, a negative sweep bound or --parallel below 1, an
+--output file that cannot be written, or a stdout closed before the output
+was written (as by `| head`), 3 arithmetic overflow, aborted search
 (overflow, or a depth beyond the relation search budget), sweep bounds
 beyond the sweep budget, an omega or gaps length beyond its budget, a
 check whose composed images may hold more runs than its budget, a
@@ -317,9 +318,18 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return _error(exc, 2)
         else:
             lines = records
-    for line in lines:
-        if line is not None:
-            print(line)
+    try:
+        for line in lines:
+            if line is not None:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the rest at os.devnull, so that
+        # the flush at exit does not raise again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error("stdout was closed before the output was written", 2)
     return 0 if ok else 1
 
 

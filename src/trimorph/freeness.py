@@ -9,9 +9,8 @@ Taking the occurrence matrix is a monoid homomorphism, so two sequences can
 compose to the same morphism only if their matrix products are equal.  The
 search walks the matrix products, one 2x2 integer product a sequence: a
 sequence with a new matrix cannot close a relation.  A sequence whose matrix
-repeats an earlier one is keyed by its matrix and a Karp-Rabin fingerprint
-of its composition (Karp and Rabin, 1987): for each image, the pair
-(H(w), X^|w|) modulo the prime MODULUS, in a base X drawn once per process.
+repeats an earlier one is keyed by its matrix and the Karp-Rabin
+fingerprint of its composition, in the format morphisms defines.
 Fingerprints extend like compositions, from those of a prefix, and a run of
 k letters costs O(log k), so no word is built for them.  The search composes
 only when the matrix and the fingerprint both repeat, and the exact
@@ -30,10 +29,8 @@ Relation live in words.
 """
 from __future__ import annotations
 
-import os
-
-from .morphisms import BinaryMorphism, compose, mat_mul
-from .words import A, MAX_COUNT, SearchAborted, Value
+from .morphisms import BinaryMorphism, _fingerprint_after, _identity_fingerprint, compose, mat_mul
+from .words import MAX_COUNT, SearchAborted, Value
 
 
 class Relation(Value):
@@ -51,11 +48,6 @@ DEFAULT_DEPTH = 6
 # The last level of the search holds 2^depth matrix products.
 MAX_DEPTH = 16
 
-# Fingerprints are reduced modulo this Mersenne prime.
-MODULUS = 2**127 - 1
-# The base X, drawn per process so that no fixed input is chosen against it.
-_BASE = int.from_bytes(os.urandom(16), "big")
-
 
 def _prefix_value(seq: tuple[int, ...], memo: dict, extend, gens: tuple):
     """The value of seq, extended from its longest prefix in memo by
@@ -69,31 +61,6 @@ def _prefix_value(seq: tuple[int, ...], memo: dict, extend, gens: tuple):
         value = extend(value, gens[seq[k] - 1])
         memo[seq[: k + 1]] = value
     return value
-
-
-def _fingerprint_after(fp: tuple, g: BinaryMorphism) -> tuple:
-    """The fingerprints of the images of a and b under f g, from those of f.
-
-    A fingerprint of w is (H(w), X^|w|), and that of uv is
-    (H(u) X^|v| + H(v), X^|u| X^|v|).  f(g(x)) concatenates, run by run
-    of g(x), powers of f(a) and f(b); a power w^k is appended by doubling,
-    in O(log k) products.
-    """
-    modulus = MODULUS
-    out = []
-    for runs in (g.image_a.runs, g.image_b.runs):
-        h, r = 0, 1
-        for letter, k in runs:
-            hw, rw = fp[letter != A]
-            while True:
-                if k & 1:
-                    h, r = (h * rw + hw) % modulus, r * rw % modulus
-                k >>= 1
-                if not k:
-                    break
-                hw, rw = hw * (rw + 1) % modulus, rw * rw % modulus
-        out.append((h, r))
-    return tuple(out)
 
 
 def _first_collision(
@@ -120,9 +87,7 @@ def _first_collision(
     # for repeated matrices only
     seen: dict = {}
     products: dict = {(1,): g1, (2,): g2}
-    # The identity's images a and b, with letter values 1 and 2; every
-    # fingerprint extended from them is reduced modulo MODULUS.
-    fingerprints: dict = {(): ((1, _BASE), (2, _BASE))}
+    fingerprints: dict = {(): _identity_fingerprint()}
     # Each level lists the sequences of one length, in lexicographic order,
     # with their matrix products; extending each in turn by 1 and by 2 keeps
     # the next level in that order.

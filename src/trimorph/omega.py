@@ -117,7 +117,6 @@ def _expansion(form: TriangularForm, n: int, letters: bool) -> Word:
         # Every piece is a power of a, so omega(h) = b a^infinity.
         return Word.from_runs(((B, 1), (A, n - 1)))
     gamma1, s = form.bpart.gamma1, form.s
-    tail_a, tail_b = form.a_count - gamma1, form.b_count - 1
     runs: list[Run] = [(B, 1)]
     # T_k holds weight; h^k(a) = a^power and h^k(b) = a^(gamma1 grown) T_k,
     # with grown = G(s, k).

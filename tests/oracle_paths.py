@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import product
 
-from trimorph.morphisms import BinaryMorphism, _runs_commute, _texts_commute, format_morphism, mat_mul
+from trimorph.morphisms import BinaryMorphism, _texts_commute, first_difference, format_morphism, mat_mul
 from trimorph.sweep import SweepConfig, enumerate_morphisms
 
 Pair = tuple[BinaryMorphism, BinaryMorphism]
@@ -36,7 +36,7 @@ def paths_agree(pairs: Iterable[Pair]) -> tuple[int, int]:
     seen = commuting = 0
     for g1, g2 in pairs:
         verdict = _texts_commute(g1, g2)
-        if verdict != _runs_commute(g1, g2):
+        if verdict != (first_difference(g1, g2) is None):
             raise AssertionError(f"oracle paths disagree on {format_morphism(g1)} {format_morphism(g2)}")
         seen += 1
         commuting += verdict

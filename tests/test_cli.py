@@ -419,12 +419,17 @@ def test_unwritable_output_exits_two_before_sweeping(capsys, tmp_path, monkeypat
     assert str(path) in err
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports trimorph from src."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_module(*argv, preexec_fn=None):
     """Run `python -m trimorph.cli` in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "trimorph.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -437,17 +442,33 @@ def test_module_entry_point_runs_main():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "false\n", "")
 
 
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # The 3 MB line is far past a pipe's buffer, so once the reader closes
+    # its end the write is certain to fail.
+    with subprocess.Popen(
+        [sys.executable, "-m", "trimorph.cli", "omega", "a=a,b=bab", "--len", "3000000"],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"bababababa"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # Only a parallel sweep needs multiprocessing; every other call skips
     # importing it.
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, trimorph.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -458,10 +479,9 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 def loaded_modules(code: str) -> dict:
     """Run code in a fresh interpreter and return what it prints last: a
     literal naming the modules it loaded."""
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -203,8 +203,8 @@ TINY_MODULUS = 2
 
 @pytest.mark.parametrize("base", [0, 1])
 def test_fingerprint_collisions_keep_the_small_sweep_answers(base, monkeypatch):
-    monkeypatch.setattr(freeness, "MODULUS", TINY_MODULUS)
-    monkeypatch.setattr(freeness, "_BASE", base)
+    monkeypatch.setattr("trimorph.morphisms.MODULUS", TINY_MODULUS)
+    monkeypatch.setattr("trimorph.morphisms._BASE", base)
     assert_small_sweep_matches_reference()
     # Some free pair composes, so a collision that is no relation was skipped.
     calls = counting_compose(monkeypatch)
@@ -222,8 +222,8 @@ def test_fingerprint_collisions_keep_the_small_sweep_answers(base, monkeypatch):
 def test_search_with_colliding_fingerprints_matches_reference(g1, g2, depth):
     for base in (0, 1):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(freeness, "MODULUS", TINY_MODULUS)
-            patch.setattr(freeness, "_BASE", base)
+            patch.setattr("trimorph.morphisms.MODULUS", TINY_MODULUS)
+            patch.setattr("trimorph.morphisms._BASE", base)
             assert_matches_reference(g1, g2, depth)
 
 

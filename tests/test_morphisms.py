@@ -23,6 +23,7 @@ from oracle_paths import box_agrees, paths_agree
 from trimorph.classifier import direct_commute
 from trimorph.morphisms import (
     MAX_TEXT_LETTERS,
+    MODULUS,
     BinaryMorphism,
     BOnly,
     Core,
@@ -141,6 +142,10 @@ def test_parse_morphism_rejects_malformed():
     for bad in ("a=ab", "b=a,a=b", "a=abc,b=b", "a=,b=b", "x=a,b=b"):
         with pytest.raises(ParseError):
             m(bad)
+    for bad, position in (("ab=b,b=a", 1), ("b=a,a=b", 0)):
+        with pytest.raises(ParseError, match="expected 'a=' at the start") as error:
+            m(bad)
+        assert error.value.position == position
 
 
 def test_format_roundtrip_examples():
@@ -374,7 +379,11 @@ def test_the_string_path_ends_at_its_bound(monkeypatch):
     # b^64 against b^64 composes to b^4096 both ways, b^63 a against b^64 to
     # (b^63 a)^64 and b^4032 a, a^64 against a^64 to a^4096, and each has a
     # pair one letter over.  Against the erasing morphism every composed
-    # image is empty, so the image of b is the longest.
+    # image is empty, so the image of b is the longest.  In each of the last
+    # four rows one image or composed image alone is over the bound, and
+    # every term of its length is nonzero, so each term of each length
+    # decides the path in one order or the other; the terms that count b's
+    # in an image of a need an image of a that holds a b.
     for g1, g2, commute, longest in (
         ("a=" + "a" * 64 + ",b=b", "a=" + "a" * 64 + ",b=bb", True, 4096),
         ("a=" + "a" * 17 + ",b=b", "a=" + "a" * 241 + ",b=bb", True, 4097),
@@ -384,10 +393,37 @@ def test_the_string_path_ends_at_its_bound(monkeypatch):
         ("a=a,b=" + "b" * 16 + "a", "a=a,b=" + "b" * 241, False, 4097),
         ("a=a,b=" + "b" * 4096, "a=eps,b=eps", True, 4096),
         ("a=a,b=" + "b" * 4097, "a=eps,b=eps", True, 4097),
+        ("a=" + "a" * 4096 + "b,b=b", "a=eps,b=eps", True, 4097),
+        ("a=a,b=" + "a" * 4096 + "b", "a=eps,b=eps", True, 4097),
+        ("a=aa,b=b", "a=a,b=a" + "b" * 4095, False, 4097),
+        ("a=a,b=bb", "a=" + "a" * 4095 + "b,b=b", False, 4097),
     ):
-        streamed.clear()
-        assert direct_commute(m(g1), m(g2)) is commute
-        assert bool(streamed) is (longest > MAX_TEXT_LETTERS)
+        s1, s2 = as_strings(m(g1)), as_strings(m(g2))
+        assert max(map(len, (*s1, *s2, *ncompose(s1, s2), *ncompose(s2, s1)))) == longest
+        for f1, f2 in ((g1, g2), (g2, g1)):
+            streamed.clear()
+            assert direct_commute(m(f1), m(f2)) is commute
+            assert bool(streamed) is (longest > MAX_TEXT_LETTERS)
+
+
+def test_the_fingerprint_modulus_is_the_mersenne_prime_2_127_minus_1():
+    n = MODULUS
+    assert n == 2**127 - 1
+    # Miller-Rabin: with n - 1 = 2^r d, d odd, no base witnesses that n is
+    # composite.
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            pytest.fail(f"{base} witnesses that {n} is composite")
 
 
 @pytest.mark.parametrize("order", [1, -1], ids=["long-first", "erasing-first"])

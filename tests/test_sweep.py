@@ -116,6 +116,11 @@ def test_commuting_pairs_predicted_false_are_mismatches_in_index_order(monkeypat
     assert len(mismatches) == commuting > 0
     assert all(rec["predicted"] is False and rec["actual"] is True for rec in mismatches)
     assert run_sweep(TINY).mismatches == mismatches
+    # A range that starts or ends mid-row gives the full range's records for
+    # its window, each with its own pair's report.
+    for start, end in ((n // 2, 3 * n + 1), (16 * n + 20, 16 * n + 40), (37 * n + 1, pairs - 1)):
+        window = [rec for rec in mismatches if start <= rec["index"] < end]
+        assert sweep_range(morphs, start, end)[3] == window and window
 
 
 def test_screen_matches_matrix_products_on_every_default_pair(monkeypatch):
