@@ -9,14 +9,16 @@ Taking the occurrence matrix is a monoid homomorphism, so two sequences can
 compose to the same morphism only if their matrix products are equal.  The
 search walks the matrix products, one 2x2 integer product a sequence: a
 sequence with a new matrix cannot close a relation.  A sequence whose matrix
-repeats an earlier one is keyed by its matrix and the Karp-Rabin
-fingerprint of its composition, in the format morphisms defines.
-Fingerprints extend like compositions, from those of a prefix, and a run of
-k letters costs O(log k), so no word is built for them.  The search composes
-only when the matrix and the fingerprint both repeat, and the exact
-compositions decide, so a fingerprint collision costs time and never
-changes the answer: the witness is the one a search composing every
-sequence would report.
+repeats an earlier one is keyed by its matrix and the Karp-Rabin fingerprint
+of its composition, in the format morphisms defines.  Fingerprints extend
+like compositions, from those of a prefix, and a run of k letters costs
+O(log k), so no word is built for them.  Each search keeps the powers of the
+fingerprints of images of a that it computes: when both generators are upper
+triangular, every composition maps a to a^n, so all the sequences with n a's
+share these powers.  The search composes only when the matrix and the
+fingerprint both repeat, and the exact compositions decide, so a fingerprint
+collision costs time and never changes the answer: the witness is the one a
+search composing every sequence would report.
 
 matrix_collision is the same walk without the fingerprint and composition
 steps.  A collision-free matrix walk is a sound certificate that no morphism
@@ -28,6 +30,8 @@ neither the classifier nor dataclasses: SearchAborted and the Value base of
 Relation live in words.
 """
 from __future__ import annotations
+
+from functools import partial
 
 from .morphisms import BinaryMorphism, _fingerprint_after, _identity_fingerprint, compose, mat_mul
 from .words import MAX_COUNT, SearchAborted, Value
@@ -50,16 +54,12 @@ MAX_DEPTH = 16
 
 
 def _prefix_value(seq: tuple[int, ...], memo: dict, extend, gens: tuple):
-    """The value of seq, extended from its longest prefix in memo by
-    extend(value, generator), one index at a time; every prefix reached on
-    the way is kept in memo."""
-    k = len(seq)
-    while seq[:k] not in memo:
-        k -= 1
-    value = memo[seq[:k]]
-    for k in range(k, len(seq)):
-        value = extend(value, gens[seq[k] - 1])
-        memo[seq[: k + 1]] = value
+    """The value of seq, extended from that of seq[:-1] by
+    extend(value, generator); memo must hold the value of some prefix of
+    seq, and it keeps every value computed on the way."""
+    value = memo.get(seq)
+    if value is None:
+        value = memo[seq] = extend(_prefix_value(seq[:-1], memo, extend, gens), gens[seq[-1] - 1])
     return value
 
 
@@ -88,6 +88,9 @@ def _first_collision(
     seen: dict = {}
     products: dict = {(1,): g1, (2,): g2}
     fingerprints: dict = {(): _identity_fingerprint()}
+    # The powers of fingerprints of images of a, kept for this search only,
+    # so that no power outlives the modulus and base it was computed under.
+    fingerprint_after = partial(_fingerprint_after, powers={})
     # Each level lists the sequences of one length, in lexicographic order,
     # with their matrix products; extending each in turn by 1 and by 2 keeps
     # the next level in that order.
@@ -110,10 +113,10 @@ def _first_collision(
                 # the first sequence of a matrix enters seen, once, when the
                 # matrix first repeats; None then marks the matrix as entered.
                 if earlier is not None:
-                    fp = _prefix_value(earlier, fingerprints, _fingerprint_after, gens)
+                    fp = _prefix_value(earlier, fingerprints, fingerprint_after, gens)
                     seen[mat, fp] = [earlier]
                     first[mat] = None
-                fp = _prefix_value(seq, fingerprints, _fingerprint_after, gens)
+                fp = _prefix_value(seq, fingerprints, fingerprint_after, gens)
                 candidates = seen.setdefault((mat, fp), [])
                 for found in candidates:
                     if _prefix_value(found, products, compose, gens) == _prefix_value(

@@ -28,7 +28,8 @@ it stops at the first runs that differ, in memory proportional to the runs
 whatever the length, and names the letter where they differ.  Karp-Rabin
 fingerprints (Karp and Rabin, 1987), (H(w), X^|w|) modulo MODULUS with
 H(a) = 1 and H(b) = 2, key the compositions of the relation search in
-freeness; _fingerprint_after extends them without building a word.  The
+freeness; _fingerprint_after extends them without building a word, reusing
+the powers of the fingerprint of f(a) that the search has computed.  The
 `check` command needs no other module.
 """
 from __future__ import annotations
@@ -205,32 +206,62 @@ _BASE = int.from_bytes(os.urandom(16), "big")
 
 def _identity_fingerprint() -> tuple:
     """The fingerprints of the images a and b of the identity, which fix the
-    letter values 1 and 2; the base is read at each call."""
-    return ((1, _BASE), (2, _BASE))
+    letter values 1 and 2, reduced modulo MODULUS; the modulus and the base
+    are read at each call."""
+    modulus = MODULUS
+    x = _BASE % modulus
+    return ((1 % modulus, x), (2 % modulus, x))
 
 
-def _fingerprint_after(fp: tuple, g: BinaryMorphism) -> tuple:
+def _fingerprint_power(fp: tuple, k: int) -> tuple:
+    """The fingerprint of w^k, k >= 1, from that of w, by doubling in
+    O(log k) products."""
+    modulus = MODULUS
+    hw, rw = fp
+    h, r = 0, 1
+    while True:
+        if k & 1:
+            h, r = (h * rw + hw) % modulus, r * rw % modulus
+        k >>= 1
+        if not k:
+            return h, r
+        hw, rw = hw * (rw + 1) % modulus, rw * rw % modulus
+
+
+def _fingerprint_after(fp: tuple, g: BinaryMorphism, powers: dict) -> tuple:
     """The fingerprints of the images of a and b under f g, from those of f.
 
     A fingerprint of w is (H(w), X^|w|), and that of uv is
     (H(u) X^|v| + H(v), X^|u| X^|v|).  f(g(x)) concatenates, run by run
-    of g(x), powers of f(a) and f(b); a power w^k is appended by doubling,
-    in O(log k) products.
+    of g(x), powers of f(a) and f(b), starting from the first run as it
+    is, so fp must be reduced modulo MODULUS, as every fingerprint this
+    returns is.  A power w^k, k >= 2, is computed by doubling; those of
+    f(a) are kept in powers, keyed by value as (fingerprint of f(a), k),
+    which the caller keeps for one search.  When every factor is upper
+    triangular, f(a) = a^n, so all the sequences with n a's share these
+    powers, while f(b) differs from one sequence to the next.
     """
     modulus = MODULUS
+    fa, fb = fp
     out = []
     for runs in (g.image_a.runs, g.image_b.runs):
-        h, r = 0, 1
+        h = None
         for letter, k in runs:
-            hw, rw = fp[letter != A]
-            while True:
-                if k & 1:
-                    h, r = (h * rw + hw) % modulus, r * rw % modulus
-                k >>= 1
-                if not k:
-                    break
-                hw, rw = hw * (rw + 1) % modulus, rw * rw % modulus
-        out.append((h, r))
+            if k == 1:
+                hk, rk = fa if letter == A else fb
+            elif letter == A:
+                key = (fa, k)
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = _fingerprint_power(fa, k)
+                hk, rk = power
+            else:
+                hk, rk = _fingerprint_power(fb, k)
+            if h is None:
+                h, r = hk, rk
+            else:
+                h, r = (h * rk + hk) % modulus, r * rk % modulus
+        out.append((0, 1) if h is None else (h, r))
     return tuple(out)
 
 

@@ -5,11 +5,11 @@ from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from conftest import morphisms, triangular_morphisms
-from trimorph import freeness
+from conftest import as_strings, morphisms, ncompose, triangular_morphisms
+from trimorph import freeness, morphisms as morphisms_module
 from trimorph.freeness import (
     MAX_DEPTH,
     Relation,
@@ -18,9 +18,16 @@ from trimorph.freeness import (
     matrix_collision,
 )
 from trimorph.classifier import direct_commute
-from trimorph.morphisms import BinaryMorphism, compose, parse_morphism
+from trimorph.morphisms import (
+    MODULUS,
+    BinaryMorphism,
+    _fingerprint_after,
+    _identity_fingerprint,
+    compose,
+    parse_morphism,
+)
 from trimorph.sweep import SweepConfig, enumerate_morphisms
-from trimorph.words import CountOverflow, Word
+from trimorph.words import EMPTY, CountOverflow, Word
 
 
 def m(text):
@@ -248,3 +255,94 @@ def test_deep_free_search_holds_no_words():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def horner(text: str) -> tuple[int, int]:
+    """The fingerprint (H(w), X^|w|) of a plain string, one letter at a time,
+    with a = 1 and b = 2, under the current MODULUS and _BASE."""
+    modulus = morphisms_module.MODULUS
+    x = morphisms_module._BASE % modulus
+    h = 0
+    for letter in text:
+        h = (h * x + (1 if letter == "a" else 2)) % modulus
+    return h, pow(x, len(text), modulus)
+
+
+def long_run_morphisms():
+    """Images of up to three runs of 2^10 to 2^11 letters, so that each
+    power takes ten or more doublings."""
+    runs = st.tuples(st.sampled_from("ab"), st.integers(2**10, 2**11))
+    image = st.lists(runs, max_size=3).map(
+        lambda rs: Word.parse("".join(letter * n for letter, n in rs)) if rs else EMPTY
+    )
+    return st.builds(BinaryMorphism, image, image)
+
+
+# (MODULUS, _BASE): the process's own, an unreduced base under the real
+# modulus, and TINY_MODULUS with the bases 0, 1 and 2.
+FINGERPRINT_SETTINGS = (
+    (MODULUS, morphisms_module._BASE),
+    (MODULUS, MODULUS + 5),
+    (TINY_MODULUS, 0),
+    (TINY_MODULUS, 1),
+    (TINY_MODULUS, 2),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(morphisms(4), morphisms(4)),
+        st.tuples(long_run_morphisms(), morphisms(3)),
+        st.tuples(morphisms(3), long_run_morphisms()),
+    )
+)
+@example((BinaryMorphism(EMPTY, EMPTY), parse_morphism("a=ab,b=ba")))
+@example((parse_morphism("a=ba,b=aab"), BinaryMorphism(EMPTY, Word.parse("bba"))))
+@settings(max_examples=120)
+def test_fingerprints_extend_as_the_plain_string_composition(pair):
+    f, g = pair
+    sf = as_strings(f)
+    for modulus, base in FINGERPRINT_SETTINGS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("trimorph.morphisms.MODULUS", modulus)
+            patch.setattr("trimorph.morphisms._BASE", base)
+            expected = tuple(map(horner, ncompose(sf, as_strings(g))))
+            powers: dict = {}
+            fp = _fingerprint_after(_identity_fingerprint(), f, powers)
+            assert fp == tuple(map(horner, sf))
+            assert _fingerprint_after(fp, g, powers) == expected
+            # Again, now reading the powers of f(a) kept by the first call.
+            assert _fingerprint_after(fp, g, powers) == expected
+
+
+# Searches alternate between the process's own modulus and base (None) and
+# patched ones.  With X = 1 the fingerprint of a^n is (n, 1) under the real
+# modulus and (n mod 2, 1) modulo 2, so the keys (fingerprint of f(a), k)
+# of the two coincide while the powers differ: a power kept past its search
+# and read under the other modulus would change a fingerprint.
+ALTERNATING_SETTINGS = (None, (TINY_MODULUS, 1), None, (MODULUS, 1), (TINY_MODULUS, 1), None)
+
+
+def test_no_power_is_read_under_another_modulus_or_base():
+    morphs = enumerate_morphisms(SMALL_SWEEP)
+    for g1 in morphs:
+        for g2 in morphs:
+            for setting in ALTERNATING_SETTINGS:
+                with pytest.MonkeyPatch.context() as patch:
+                    if setting is not None:
+                        patch.setattr("trimorph.morphisms.MODULUS", setting[0])
+                        patch.setattr("trimorph.morphisms._BASE", setting[1])
+                    assert_matches_reference(g1, g2, 4)
+
+
+def test_kept_powers_hold_little_memory():
+    # Commuting matrices and runs of several a's, where the search keeps the
+    # most powers.  Without them the search peaked at 8,194,612 bytes here
+    # (Python 3.11); the bound allows 10% more.
+    tracemalloc.start()
+    try:
+        assert find_relation(m("a=aaa,b=abaabbaa"), m("a=aa,b=abaaba"), 12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_194_612 * 11 // 10
