@@ -337,8 +337,8 @@ def test_no_power_is_read_under_another_modulus_or_base():
 
 def test_kept_powers_hold_little_memory():
     # Commuting matrices and runs of several a's, where the search keeps the
-    # most powers.  Without them the search peaked at 8,194,612 bytes here
-    # (Python 3.11); the bound allows 10% more.
+    # most powers.  Before powers were kept, this search peaked at 8,194,612
+    # bytes under Python 3.11; the bound allows 10% more.
     tracemalloc.start()
     try:
         assert find_relation(m("a=aaa,b=abaabbaa"), m("a=aa,b=abaaba"), 12) is None
