@@ -6,19 +6,19 @@ all sequences of length 1..depth in breadth-first, lexicographic order and
 reports the first collision, so the witness is canonical.
 
 Taking the occurrence matrix is a monoid homomorphism, so two sequences can
-compose to the same morphism only if their matrix products are equal.  The
-search walks the matrix products, one 2x2 integer product a sequence: a
-sequence with a new matrix cannot close a relation.  A sequence whose matrix
-repeats an earlier one is keyed by its matrix and the Karp-Rabin fingerprint
-of its composition, in the format morphisms defines.  Fingerprints extend
-like compositions, from those of a prefix, and a run of k letters costs
-O(log k), so no word is built for them.  Each search keeps the powers of the
-fingerprints of images of a that it computes: when both generators are upper
-triangular, every composition maps a to a^n, so all the sequences with n a's
-share these powers.  The search composes only when the matrix and the
-fingerprint both repeat, and the exact compositions decide, so a fingerprint
-collision costs time and never changes the answer: the witness is the one a
-search composing every sequence would report.
+compose to the same morphism only if their matrices are equal.  The search
+multiplies matrices, one 2x2 integer product a sequence: a sequence with a
+new matrix cannot close a relation.  A sequence whose matrix repeats an
+earlier one is keyed by its matrix and the Karp-Rabin fingerprint of its
+composition, in the format morphisms defines.  One memo per search holds
+these fingerprints, each extended from its prefix's at O(log k) for a run of
+k letters, with no word built.  When both generators are upper triangular
+every composition maps a to a^n, so the search also keeps the powers of the
+fingerprints of images of a.  A match of matrix and fingerprint is confirmed
+by composing its two sequences once each; with the real modulus only a
+fingerprint collision makes a match that is no relation, so no composition
+is kept.  A collision costs time and never changes the answer: the witness
+is the one a search composing every sequence would report.
 
 matrix_collision is the same walk without the fingerprint and composition
 steps.  A collision-free matrix walk is a sound certificate that no morphism
@@ -31,7 +31,7 @@ Relation live in words.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import reduce
 
 from .morphisms import BinaryMorphism, _fingerprint_after, _identity_fingerprint, compose, mat_mul
 from .words import MAX_COUNT, SearchAborted, Value
@@ -49,18 +49,8 @@ class Relation(Value):
 
 
 DEFAULT_DEPTH = 6
-# The last level of the search holds 2^depth matrix products.
+# The last level of the search holds 2^depth matrices.
 MAX_DEPTH = 16
-
-
-def _prefix_value(seq: tuple[int, ...], memo: dict, extend, gens: tuple):
-    """The value of seq, extended from that of seq[:-1] by
-    extend(value, generator); memo must hold the value of some prefix of
-    seq, and it keeps every value computed on the way."""
-    value = memo.get(seq)
-    if value is None:
-        value = memo[seq] = extend(_prefix_value(seq[:-1], memo, extend, gens), gens[seq[-1] - 1])
-    return value
 
 
 def _first_collision(
@@ -69,10 +59,10 @@ def _first_collision(
     """Breadth-first, lexicographic walk over the sequences of length <= depth.
 
     Returns the first pair (earlier, later) of distinct sequences whose
-    matrix products coincide and, when exact, whose compositions coincide
-    too; None when there is none.  An exact walk builds words with 64-bit
-    counts, so it aborts at the first sequence whose matrix holds an entry
-    beyond MAX_COUNT: no letter of that composition can be counted.  Every
+    matrices coincide and, when exact, whose compositions coincide too; None
+    when there is none.  An exact walk builds words with 64-bit counts, so
+    it aborts at the first sequence whose matrix holds an entry beyond
+    MAX_COUNT: no letter of that composition can be counted.  Every
     sequence it composes, prefixes included, passed that check, and no run
     count of a composition exceeds an entry of its matrix.
     """
@@ -82,18 +72,27 @@ def _first_collision(
         raise SearchAborted(depth, f"depth {depth} exceeds the search budget of {MAX_DEPTH}")
     gens = (g1, g2)
     steps = ((1, g1.rows), (2, g2.rows))
-    first: dict = {}  # matrix product -> first sequence with it
-    # (matrix, fingerprint) -> the sequences with it, of distinct compositions,
-    # for repeated matrices only
-    seen: dict = {}
-    products: dict = {(1,): g1, (2,): g2}
+    first: dict = {}  # matrix -> first sequence with it
+    seen: dict = {}  # (repeated matrix, fingerprint) -> its sequences, no two composing equally
+    # Per search, so that no power outlives the modulus and base it was
+    # computed under: fingerprints of sequences, powers of those of images of a.
     fingerprints: dict = {(): _identity_fingerprint()}
-    # The powers of fingerprints of images of a, kept for this search only,
-    # so that no power outlives the modulus and base it was computed under.
-    fingerprint_after = partial(_fingerprint_after, powers={})
+    powers: dict = {}
+
+    def fingerprint(seq: tuple[int, ...]) -> tuple:
+        # A loop: a recursive closure would leave a cycle for the garbage collector.
+        missing = []
+        while seq not in fingerprints:
+            missing.append(seq)
+            seq = seq[:-1]
+        fp = fingerprints[seq]
+        for seq in reversed(missing):
+            fp = fingerprints[seq] = _fingerprint_after(fp, gens[seq[-1] - 1], powers)
+        return fp
+
     # Each level lists the sequences of one length, in lexicographic order,
-    # with their matrix products; extending each in turn by 1 and by 2 keeps
-    # the next level in that order.
+    # with their matrices; extending each in turn by 1 and by 2 keeps the
+    # next level in that order.
     level: list = [((), ((1, 0), (0, 1)))]
     for length in range(1, depth + 1):
         nxt: list = []
@@ -113,15 +112,12 @@ def _first_collision(
                 # the first sequence of a matrix enters seen, once, when the
                 # matrix first repeats; None then marks the matrix as entered.
                 if earlier is not None:
-                    fp = _prefix_value(earlier, fingerprints, fingerprint_after, gens)
-                    seen[mat, fp] = [earlier]
+                    seen[mat, fingerprint(earlier)] = [earlier]
                     first[mat] = None
-                fp = _prefix_value(seq, fingerprints, fingerprint_after, gens)
-                candidates = seen.setdefault((mat, fp), [])
+                candidates = seen.setdefault((mat, fingerprint(seq)), [])
                 for found in candidates:
-                    if _prefix_value(found, products, compose, gens) == _prefix_value(
-                        seq, products, compose, gens
-                    ):
+                    composed = [reduce(compose, [gens[i - 1] for i in s]) for s in (found, seq)]
+                    if composed[0] == composed[1]:
                         return found, seq
                 candidates.append(seq)
         level = nxt

@@ -101,6 +101,7 @@ def test_omega_prefix(capsys):
     code, out, _ = run(capsys, "omega", "a=a,b=bab", "--len", "7")
     assert code == 0
     assert out.strip() == "bababab"
+    assert run(capsys, "omega", "a=a,b=bab", "--len", "0")[:2] == (0, "eps\n")
 
 
 def test_omega_json(capsys):

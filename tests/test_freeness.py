@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from functools import reduce
 from itertools import product
@@ -255,6 +256,20 @@ def test_deep_free_search_holds_no_words():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def test_a_search_leaves_no_garbage_cycle():
+    # A reference cycle, such as a recursive closure over the memo, keeps
+    # each search's fingerprints until the garbage collector runs, and the
+    # searches that follow pay for the collection.
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_relation(m("a=aaa,b=abaabbaa"), m("a=aa,b=abaaba"), 8) is None
+        assert find_relation(m("a=ab,b=b"), m("a=ab,b=bb"), 8) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def horner(text: str) -> tuple[int, int]:

@@ -70,12 +70,17 @@ def test_power_examples():
     g = m("a=a,b=bab")
     assert power(g, 0) == IDENTITY
     assert power(g, 2).image_b.to_text() == "bababab"
+    with pytest.raises(ValueError):
+        power(g, -1)
 
 
 def test_matrix_examples():
     assert matrix(m("a=aa,b=ab")).rows == ((2, 1), (0, 1))
     assert matrix(m("a=eps,b=ab")).rows == ((0, 1), (0, 1))
     assert matrix(m("a=ba,b=b")).rows == ((1, 0), (1, 1))
+    h = matrix(BinaryMorphism(Word.single("a", 2**40), Word.parse("b")))
+    with pytest.raises(CountOverflow):
+        h @ h  # the entry 2^80
 
 
 def test_matrix_det_sign():
@@ -272,6 +277,8 @@ def stream_inputs(draw):
 @example((BinaryMorphism(word_of(("a", 2**63), ("b", 1), ("a", 2**63)), Word.parse("b")),
           Word.parse("aa")))
 @example((m("a=ab,b=b"), word_of(("a", MAX_COUNT // 2 + 1))))
+# The pending run a^(2^64) passes the bound when the run of b ends it.
+@example((BinaryMorphism(Word.single("a", 2**63), Word.parse("b")), Word.parse("aab")))
 def test_apply_and_image_runs_equal_a_run_reference(inputs):
     # Both sides give the runs of the reference, and raise CountOverflow
     # exactly on the inputs it refuses.

@@ -28,6 +28,8 @@ def test_mult_dependence_examples():
     assert mult_dependence(2, 3) == INDEPENDENT
     assert mult_dependence(4, 16) == Dependent(4, 1, 2)
     assert mult_dependence(6, 6) == Dependent(6, 1, 1)
+    with pytest.raises(ValueError):
+        mult_dependence(1, 2)
 
 
 def test_val_and_digit_examples():
@@ -35,6 +37,9 @@ def test_val_and_digit_examples():
     assert val_and_digit(12, 3) == (1, 4 % 3)
     assert val_and_digit(7, 3) == (0, 1)
     assert val_and_digit(54, 3) == (3, 2)
+    for i, p in ((0, 2), (3, 1)):
+        with pytest.raises(ValueError):
+            val_and_digit(i, p)
 
 
 def integer_root(n: int, k: int) -> int:

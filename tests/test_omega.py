@@ -63,6 +63,7 @@ def test_omega_undefined_when_tail_empty():
 
 
 def test_empty_prefix_still_checks_the_form():
+    assert omega_prefix(form("a=a,b=bab"), 0).to_text() == "eps"
     with pytest.raises(NotApplicable):
         omega_prefix(form("a=eps,b=bab"), 0)
     with pytest.raises(OmegaUndefined):
@@ -204,6 +205,27 @@ def test_gap_sequence_overflows_exactly_where_gap_does():
     for fn in (lambda: gap(f, 6), lambda: gap_sequence(f, 6)):
         with pytest.raises(CountOverflow):
             fn()
+    # gap(4) = s gap(2) = 2^72; the expansion refuses the padding of the
+    # b's it counts before it reaches that gap.
+    f = TriangularForm(2**32, Core(2**40, (0,), 0))
+    assert gap_sequence_direct(f, 3) == gap_sequence(f, 3) == [0, 2**40, 0]
+    for fn in (gap, gap_sequence, gap_sequence_direct):
+        with pytest.raises(CountOverflow):
+            fn(f, 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: omega_prefix(form("a=a,b=bab"), -1),
+        lambda: gap(form("a=a,b=bab"), 0),
+        lambda: gap_sequence_direct(form("a=a,b=bab"), -1),
+    ],
+    ids=["negative-prefix", "gap-zero", "negative-upto"],
+)
+def test_bad_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(gapped_forms(), st.integers(1, 300))

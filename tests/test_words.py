@@ -73,6 +73,23 @@ def test_length_and_occ_at_the_bound():
     assert past.occ("b") == 1
     with pytest.raises(CountOverflow):
         Word((("a", MAX_COUNT), ("b", 1))).length()
+    assert Word.from_runs([("a", MAX_COUNT)]).runs == (("a", MAX_COUNT),)
+    with pytest.raises(CountOverflow):
+        Word.from_runs([("a", MAX_COUNT + 1)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Word.from_runs([("c", 1)]),
+        lambda: Word.from_runs([("a", -1)]),
+        lambda: take_prefix(w("ab"), -1),
+    ],
+    ids=["letter", "negative-run", "negative-prefix"],
+)
+def test_bad_arguments_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(word_texts(), word_texts())
