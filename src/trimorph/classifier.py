@@ -31,20 +31,27 @@ places):
 MultDependent compares g1^n and g2^m without building them: their images
 of b hold r^(mn) b's, but their outer paddings have closed forms and their
 interior gaps are the closed-form gaps of omega(g1) and omega(g2), which
-agree everywhere once they agree on one index of each of W classes, or at
-once when both sequences are constant (omega_eventually_periodic).  All of
-these are exact integers, with no 64-bit bound; the one refusal is
-BeyondBudget when W exceeds 64 comparisons per b of the larger b-image, so
-the work stays linear in the input.  The test suite keeps the version that
-composes the powers as its reference.
+agree everywhere once they agree on one index of each residue class, or at
+once when both sequences are constant (omega_eventually_periodic).  For an
+index r^k j with r not dividing j, the gap of g1^n depends only on k and
+j mod r^(m - k mod m), that of g2^m on k and j mod r^(n - k mod n); so one
+j per class and valuation k settles every index, and the two terms of the
+gap that depend on k alone are evaluated once per k.  That count,
+_gap_comparisons, is at most about (m + n) r^max(m, n), O(B log B) in the
+B b's of the larger image of b.  All of these are exact integers, with no
+64-bit bound; the one refusal is BeyondBudget when the count exceeds 64
+comparisons per b of the larger b-image, which no pair of images that fit
+in memory reaches.  The witness conjugate_core is joined from the exact
+gaps of the power images, at most 80 b's and 80 letters.  The test suite
+keeps the version that composes the powers as its reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .morphisms import BinaryMorphism, Core, TriangularForm, direct_commute, shape_to_word
+from .morphisms import BinaryMorphism, Core, TriangularForm, direct_commute
 from .numtheory import Dependent, mult_dependence
-from .omega import class_gap, exact_gap_sequence, geometric, omega_eventually_periodic
+from .omega import class_terms, exact_gap_sequence, geometric, omega_eventually_periodic
 from .words import SCHEMA_VERSION, BeyondBudget, words_commute
 
 CASE_SINGULAR_B_IMAGE = "SingularBImage"
@@ -108,33 +115,52 @@ def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
     return form.s**k, core.gamma1 * factor, core.gamma2 * factor
 
 
+def _gap_comparisons(r: int, m: int, n: int) -> int:
+    """The number of comparisons _gaps_agree makes when every gap agrees:
+    for each valuation k below mn, the j below r^min(max(m - k mod m,
+    n - k mod n), mn - k) that r does not divide."""
+    mn = m * n
+    return sum((r - 1) * r ** (min(max(m - k % m, n - k % n), mn - k) - 1) for k in range(mn))
+
+
 def _gaps_agree(f1: TriangularForm, f2: TriangularForm, r: int, m: int, n: int) -> bool:
     """gap(f1, i) == gap(f2, i), as exact integers, for every 1 <= i < r^(mn),
-    for b-counts r^m and r^n.
+    for b-counts p = r^m and q = r^n.
 
-    Write i = r^k j with r not dividing j.  The valuation of i in base r^m
-    is k // m and its lowest nonzero digit is r^(k mod m) j mod r^m, so
-    gap(f1, i) is class_gap(f1, k // m, that digit) and depends only on k
-    and j mod r^m; likewise gap(f2, i) on k and j mod r^n.  One j below
-    r^N per class settles every index, N = max(m, n), and i itself is
-    never built: exactly W = (mn - N + 1)(r - 1) r^(N-1) + r^(N-1) - 1
-    comparisons.  Raises BeyondBudget when W exceeds 64 r^N, 64 per b of
-    the larger b-image; every pair whose power images hold at most 2^64
-    b's is within it.
+    Write i = r^k j with r not dividing j.  The valuation of i in base p is
+    k // m and its lowest nonzero digit is r^(k mod m) j mod p, so
+    gap(f1, i) = alpha_d s^(k // m) + (gamma1 + gamma2) G(s, k // m) depends
+    only on k and j mod r^(m - k mod m); likewise gap(f2, i) on k and
+    j mod r^(n - k mod n).  So for each k one j below r^max(m - k mod m,
+    n - k mod n) per class settles every index, and no j at or past
+    r^(mn - k) occurs; the two terms that depend on k alone (class_terms)
+    are evaluated once per k, and i itself is never built.  The count of
+    comparisons, _gap_comparisons, is below n p + m q <= (m + n) r^N,
+    N = max(m, n), so it is O(B log B) in the B = r^N b's of the larger
+    image of b.  Raises BeyondBudget, before reading either form, when the
+    count exceeds 64 r^N, 64 per b of that image; the exact count is
+    summed only when n p + m q is over it, and no pair of images of b that
+    fit in memory reaches it.
     """
-    mn, big = m * n, max(m, n)
-    top = r ** (big - 1)
-    work, budget = (mn - big + 1) * (r - 1) * top + top - 1, 64 * r * top
-    if work > budget:
-        raise BeyondBudget(
-            f"classify needs {work} gap comparisons, beyond its budget of {budget} "
-            "(64 per b of the larger image of b)"
-        )
-    p, q = r**m, r**n
+    mn, p, q = m * n, r**m, r**n
+    budget = 64 * max(p, q)
+    if n * p + m * q > budget:
+        work = _gap_comparisons(r, m, n)
+        if work > budget:
+            raise BeyondBudget(
+                f"classify needs {work} gap comparisons, beyond its budget of {budget} "
+                "(64 per b of the larger image of b)"
+            )
+    alphas1, alphas2 = f1.bpart.alphas, f2.bpart.alphas
     for k in range(mn):
-        v1, shift1, v2, shift2 = k // m, r ** (k % m), k // n, r ** (k % n)
-        for j in range(1, r ** min(big, mn - k)):
-            if j % r and class_gap(f1, v1, shift1 * j % p) != class_gap(f2, v2, shift2 * j % q):
+        scale1, pad1 = class_terms(f1, k // m)
+        scale2, pad2 = class_terms(f2, k // n)
+        shift1, shift2 = r ** (k % m), r ** (k % n)
+        for j in range(1, r ** min(max(m - k % m, n - k % n), mn - k)):
+            if j % r and (
+                alphas1[shift1 * j % p - 1] * scale1 + pad1
+                != alphas2[shift2 * j % q - 1] * scale2 + pad2
+            ):
                 return False
     return True
 
@@ -245,5 +271,5 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
     if conjugate and nb <= 80:
         gaps = exact_gap_sequence(f1, nb - 1)
         if nb + sum(gaps) <= 80:
-            witness["conjugate_core"] = shape_to_word(Core(0, tuple(gaps), 0)).to_text()
+            witness["conjugate_core"] = "b" + "".join("a" * g + "b" for g in gaps)
     return CommutationReport(CASE_MULT_DEPENDENT, swapped, conditions, witness, prediction)

@@ -23,8 +23,9 @@ the gaps obey
 
     gap(h, i) = alpha_d * s^m + (gamma1 + gamma2) * G(s, m)
 
-where G(s, m) = m when s = 1 and (s^m - 1)/(s - 1) otherwise: class_gap
-evaluates it for one class (m, d), gap for one index i.  The word is
+where G(s, m) = m when s = 1 and (s^m - 1)/(s - 1) otherwise: class_terms
+evaluates the two terms that depend on m alone, class_gap the formula for
+one class (m, d), gap for one index i.  The word is
 eventually periodic exactly when gamma1 = gamma2 = 0 and all interior gaps
 agree, in which case omega(h) = (b a^alpha)^infinity.
 """
@@ -177,12 +178,20 @@ def geometric(s: int, m: int) -> int:
     return m if s == 1 else (s**m - 1) // (s - 1)
 
 
+def class_terms(form: TriangularForm, m: int) -> tuple[int, int]:
+    """(s^m, (gamma1 + gamma2) G(s, m)): every i of base-p valuation m and
+    lowest nonzero base-p digit d has gap(form, i) = alpha_d s^m +
+    (gamma1 + gamma2) G(s, m), as exact integers; the form is not checked."""
+    core = form.bpart
+    return form.s**m, (core.gamma1 + core.gamma2) * geometric(form.s, m)
+
+
 def class_gap(form: TriangularForm, m: int, d: int) -> int:
     """gap(form, i) for every i of base-p valuation m and lowest nonzero
     base-p digit d, as an exact integer; the form and the class are not
     checked."""
-    core = form.bpart
-    return core.alphas[d - 1] * form.s**m + (core.gamma1 + core.gamma2) * geometric(form.s, m)
+    scale, pad = class_terms(form, m)
+    return form.bpart.alphas[d - 1] * scale + pad
 
 
 def gap(form: TriangularForm, i: int) -> int:

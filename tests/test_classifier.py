@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import random
 import time
 from math import gcd
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -26,6 +28,8 @@ from trimorph.morphisms import (
     Core,
     NotUpperTriangular,
     TriangularForm,
+    _fingerprint_after,
+    _identity_fingerprint,
     compose,
     parse_morphism,
     power,
@@ -33,6 +37,7 @@ from trimorph.morphisms import (
     to_triangular,
 )
 from trimorph.numtheory import Dependent, mult_dependence
+from trimorph.omega import gap
 from trimorph.sweep import SweepConfig, enumerate_morphisms
 from trimorph.words import MAX_COUNT, A, BeyondBudget, Word, a_conjugates, b_core, words_commute
 
@@ -532,15 +537,17 @@ def test_mult_dependent_witness_gaps_beyond_64_bits():
 
 
 def test_mult_dependent_beyond_the_gap_budget_refuses_at_once():
-    # p = 2^12 and q = 2^13, g1's last interior gap 2 and every other gap 1:
-    # the powers agree outside, and matching their gaps would take 593,919
-    # comparisons against a budget of 64 * 2^13 = 524,288.
-    g1 = m("a=a,b=" + "ba" * 4095 + "ab")
-    g2 = m("a=a,b=" + "ba" * 8191 + "b")
-    assert (g1.form.b_count, g2.form.b_count) == (2**12, 2**13)
+    # r = 2, m = 44, n = 45: images of b with 2^44 and 2^45 b's, the smallest
+    # larger image the budget of 64 * 2^45 comparisons refuses.  The forms
+    # are sentinels with no attributes, so the budget is checked before
+    # either is read.
     start = time.perf_counter()
-    with pytest.raises(BeyondBudget, match="^classify needs 593919 gap comparisons"):
-        classify(g1, g2)
+    with pytest.raises(
+        BeyondBudget,
+        match="^classify needs 2269391999729667 gap comparisons, beyond its budget of "
+        "2251799813685248 ",
+    ):
+        classifier._gaps_agree(object(), object(), 2, 44, 45)
     assert time.perf_counter() - start < 0.1
 
 
@@ -554,7 +561,7 @@ def test_mult_dependent_beyond_the_gap_budget_refuses_at_once():
 )
 def test_mult_dependent_constant_gaps_answer_beyond_the_gap_budget(monkeypatch, g1, g2):
     # h^12 and h^13 of h: b -> bab.  Both gap sequences are constant, so they
-    # agree without the 593,919 comparisons the budget would refuse.
+    # agree with no gap comparison; class by class would take 135,171.
     def no_comparison(*args):
         raise AssertionError("constant gap sequences were compared index by index")
 
@@ -588,10 +595,10 @@ def test_mult_dependent_constant_gaps_match_the_oracle(monkeypatch, g1, g2):
         assert report.prediction == direct_commute(h1, h2)
 
 
-def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):
-    # Distinct sentinel forms and a gap that returns its form settle
-    # _gaps_agree at the first comparison, once it passes the budget.
-    monkeypatch.setattr(classifier, "class_gap", lambda form, m, d: form)
+def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits():
+    # Two forms whose first gaps differ settle _gaps_agree at the first
+    # comparison, once it passes the budget; only their first gap is read.
+    f1, f2 = (TriangularForm(1, Core(0, (first,), 0)) for first in (0, 1))
     admitted = 0
     for r in range(2, 1024):
         for n in range(1, 65):
@@ -599,20 +606,106 @@ def test_gap_budget_admits_every_pair_whose_powers_fit_64_bits(monkeypatch):
                 if r ** (m_ * n) > 2**64:
                     break
                 if gcd(m_, n) == 1:
-                    assert not classifier._gaps_agree(object(), object(), r, m_, n)
+                    assert not classifier._gaps_agree(f1, f2, r, m_, n)
                     admitted += 1
     assert admitted == 8748
 
 
+class CountedGaps:
+    """An interior gap sequence that is 0 everywhere and records each read."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return 0
+
+
 @pytest.mark.parametrize("r, m_, n", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (2, 3, 4), (4, 2, 3)])
-def test_gap_comparisons_are_exactly_counted(monkeypatch, r, m_, n):
-    # Equal gaps everywhere make _gaps_agree compare every class.
-    calls = []
-    monkeypatch.setattr(classifier, "class_gap", lambda form, m, d: calls.append(d) or 0)
-    assert classifier._gaps_agree(object(), object(), r, m_, n)
-    big = max(m_, n)
-    work = (m_ * n - big + 1) * (r - 1) * r ** (big - 1) + r ** (big - 1) - 1
-    assert len(calls) == 2 * work
+def test_gap_comparisons_are_exactly_counted(r, m_, n):
+    # Equal gaps everywhere make _gaps_agree compare every class, reading
+    # one gap of each form per comparison.
+    forms = [
+        SimpleNamespace(s=1, bpart=SimpleNamespace(gamma1=0, gamma2=0, alphas=CountedGaps()))
+        for _ in range(2)
+    ]
+    assert classifier._gaps_agree(*forms, r, m_, n)
+    # The classes, counted from the indexes: i = r^k j with r not dividing j
+    # is settled by k and j mod r^max(m - k mod m, n - k mod n).
+    classes = set()
+    for i in range(1, r ** (m_ * n)):
+        k = 0
+        while i % r**(k + 1) == 0:
+            k += 1
+        classes.add((k, i // r**k % r ** max(m_ - k % m_, n - k % n)))
+    work = classifier._gap_comparisons(r, m_, n)
+    assert len(forms[0].bpart.alphas.reads) == len(forms[1].bpart.alphas.reads) == work
+    assert work == len(classes) < n * r**m_ + m_ * r**n
+
+
+def literal_gaps_agree(f1, f2, r, m_, n) -> bool:
+    return all(gap(f1, i) == gap(f2, i) for i in range(1, r ** (m_ * n)))
+
+
+def random_form(rng, p: int) -> TriangularForm:
+    gamma1, alphas = rng.randint(0, 2), tuple(rng.randint(0, 3) for _ in range(p - 1))
+    return TriangularForm(rng.randint(1, 3), Core(gamma1, alphas, rng.randint(0, 2)))
+
+
+def test_gaps_agree_equals_the_literal_comparison():
+    # Seeded forms with few gap values; half of the second forms take their
+    # interior gaps from the first form's own gap sequence, so that both
+    # answers occur.
+    rng = random.Random(2911)
+    answers = {True: 0, False: 0}
+    cases = 0
+    while cases < 1000:
+        r, m_, n = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 4)
+        if gcd(m_, n) != 1 or r ** (m_ * n) > 5000:
+            continue
+        f1 = random_form(rng, r**m_)
+        if rng.random() < 0.5:
+            own = tuple(gap(f1, i) for i in range(1, r**n))
+            f2 = TriangularForm(rng.choice((1, f1.s)), Core(0, own, 0))
+        else:
+            f2 = random_form(rng, r**n)
+        expected = literal_gaps_agree(f1, f2, r, m_, n)
+        assert classifier._gaps_agree(f1, f2, r, m_, n) == expected, (r, m_, n, f1, f2)
+        answers[expected] += 1
+        cases += 1
+    assert answers[True] and answers[False], answers
+
+
+def fingerprints_commute(g1: BinaryMorphism, g2: BinaryMorphism) -> bool:
+    """The fingerprints of the images of a and b under g1 g2 and g2 g1 agree."""
+
+    def composed(f, g):
+        return _fingerprint_after(_fingerprint_after(_identity_fingerprint(), f, {}), g, {})
+
+    return composed(g1, g2) == composed(g2, g1)
+
+
+def test_mult_dependent_far_pairs_match_the_fingerprint():
+    # h: a -> a, b -> b a^2 b a.  h^12 and h^13 hold 4,096 and 8,192 b's;
+    # their composed images would hold 2^25 b's, too many to compose.
+    h = m("a=a,b=baaba")
+    g1, g2 = power(h, 12), power(h, 13)
+    assert (g1.form.b_count, g2.form.b_count) == (2**12, 2**13)
+    start = time.perf_counter()
+    report = classify(g1, g2)
+    assert time.perf_counter() - start < 0.1
+    assert (report.case, report.prediction) == (CASE_MULT_DEPENDENT, True)
+    assert report.conditions["equal_powers"] and report.conditions["power_images_a_conjugate"]
+    assert fingerprints_commute(g1, g2)
+    # p = 2^12 and q = 2^13, g1's last interior gap 2 and every other gap 1:
+    # the powers agree outside but not in their gaps.
+    g1 = m("a=a,b=" + "ba" * 4095 + "ab")
+    g2 = m("a=a,b=" + "ba" * 8191 + "b")
+    for h1, h2 in ((g1, g2), (g2, g1)):
+        report = classify(h1, h2)
+        assert (report.case, report.prediction) == (CASE_MULT_DEPENDENT, False)
+        assert not fingerprints_commute(h1, h2)
 
 
 def literal_power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
