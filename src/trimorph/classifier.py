@@ -7,8 +7,10 @@ commute as words, and that test first compares their letter counts, since
 commuting words are powers of one word and so have proportional counts.
 It routes every ordered pair into exactly one case, evaluates that case's
 full list of structural conditions without short-circuiting, and each case
-builds its own report, predicting commutation as the disjunction of its
-conditions.
+builds its own report, predicting commutation as the `or` of the named
+booleans it holds for its conditions.  What a case reads of one image of b
+alone is derived once per image by Core (uniform_gap, block_gap), not per
+pair.
 direct_commute(), which lives next to apply in morphisms and is imported
 here, is the independent oracle: it compares the images of b, then of a,
 under both composition orders, with no structural reasoning, as plain
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .morphisms import BinaryMorphism, Core, TriangularForm, direct_commute
+from .morphisms import BinaryMorphism, TriangularForm, direct_commute
 from .numtheory import Dependent, mult_dependence
 from .omega import class_terms, exact_gap_sequence, geometric, omega_eventually_periodic
 from .words import SCHEMA_VERSION, BeyondBudget, words_commute
@@ -89,20 +91,6 @@ class CommutationReport:
             "witness": self.witness,
             "prediction": self.prediction,
         }
-
-
-def _match_block_powers(su: Core, sv: Core) -> dict | None:
-    """Match u = (a^alpha b a^beta)^i and v = (b a^(alpha+beta))^j b, given
-    the b-image shapes su of u and sv of v.
-
-    The block parameters are forced: alpha and beta are u's outer paddings,
-    and every interior gap on either side must equal alpha + beta.  Returns
-    the parameters, or None.
-    """
-    alpha, beta = su.gamma1, su.gamma2
-    if sv.gamma1 or sv.gamma2 or any(g != alpha + beta for g in su.alphas + sv.alphas):
-        return None
-    return {"alpha": alpha, "beta": beta, "i": su.p, "j": sv.p - 1}
 
 
 def _power_counts(form: TriangularForm, k: int) -> tuple[int, int, int]:
@@ -196,23 +184,31 @@ def classify(g1: BinaryMorphism, g2: BinaryMorphism) -> CommutationReport:
 
     # f2.rank >= f1.rank >= 1, so both images of b hold a b.
     if s == 0:
-        block = _match_block_powers(c1, c2) if t == 1 else None
-        conditions = {
-            # s = 0, so the morphisms are equal when t = 0 and the images of
-            # b are.
-            "equal_morphisms": t == 0 and g1.image_b.runs == g2.image_b.runs,
-            "partner_is_identity": f2.is_identity,
-            # Commuting words are powers of one word, so their letter counts
-            # are proportional; words_commute is symmetric in its inputs.
-            "erasing_pair_commutes": t == 0
+        # s = 0, so the morphisms are equal when t = 0 and the images of b are.
+        equal = t == 0 and g1.image_b.runs == g2.image_b.runs
+        # Commuting words are powers of one word, so their letter counts are
+        # proportional; words_commute is symmetric in its inputs.
+        erasing = (
+            t == 0
             and f1.a_count * f2.b_count == f2.a_count * f1.b_count
-            and words_commute(g1.image_b, g2.image_b),
-            "both_b_powers": both_b_powers,
-            "block_shift_match": block is not None,
-        }
-        return CommutationReport(
-            CASE_SINGULAR_A_IMAGE, swapped, conditions, block, any(conditions.values())
+            and words_commute(g1.image_b, g2.image_b)
         )
+        # g1(b) = (a^alpha b a^beta)^i against g2(b) = (b a^(alpha+beta))^j b
+        # with t = 1: alpha and beta are g1's outer paddings, and every
+        # interior gap on either side equals alpha + beta (j = 0 when g2 is
+        # the identity).
+        gap = c1.block_gap
+        block = t == 1 and gap is not None and (f2.is_identity or c2.uniform_gap == gap)
+        conditions = {
+            "equal_morphisms": equal,
+            "partner_is_identity": f2.is_identity,
+            "erasing_pair_commutes": erasing,
+            "both_b_powers": both_b_powers,
+            "block_shift_match": block,
+        }
+        witness = {"alpha": c1.gamma1, "beta": c1.gamma2, "i": c1.p, "j": c2.p - 1} if block else None
+        prediction = equal or f2.is_identity or erasing or both_b_powers or block
+        return CommutationReport(CASE_SINGULAR_A_IMAGE, swapped, conditions, witness, prediction)
 
     # Both nonsingular from here on, with p <= q.
     p, q = c1.p, c2.p

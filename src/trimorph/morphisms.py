@@ -426,13 +426,15 @@ class Core(Value):
     """Image of b with p >= 1 occurrences of b.
 
     gamma1 and gamma2 count the a-padding before the first and after the
-    last b; alphas lists the p - 1 interior a-gaps in order.  p and
-    uniform_gap are derived once in __init__, so they take no part in
-    equality, hash or repr: uniform_gap is the shared interior gap alpha
-    when the image is (b a^alpha)^(p-1) b, and None otherwise.
+    last b; alphas lists the p - 1 interior a-gaps in order.  p,
+    uniform_gap and block_gap are derived once in __init__, so they take
+    no part in equality, hash or repr: uniform_gap is the shared interior
+    gap alpha when the image is (b a^alpha)^(p-1) b, and None otherwise;
+    block_gap is gamma1 + gamma2 when every interior gap equals it, so that
+    the image is (a^gamma1 b a^gamma2)^p, and None otherwise.
     """
 
-    __slots__ = ("gamma1", "alphas", "gamma2", "p", "uniform_gap")
+    __slots__ = ("gamma1", "alphas", "gamma2", "p", "uniform_gap", "block_gap")
     _fields = ("gamma1", "alphas", "gamma2")
 
     def __init__(self, gamma1: int, alphas: tuple[int, ...], gamma2: int):
@@ -440,8 +442,10 @@ class Core(Value):
         self.alphas = alphas
         self.gamma2 = gamma2
         self.p = len(alphas) + 1
-        uniform = not gamma1 and not gamma2 and len(set(alphas)) == 1
+        gaps = set(alphas)
+        uniform = not gamma1 and not gamma2 and len(gaps) == 1
         self.uniform_gap = alphas[0] if uniform else None
+        self.block_gap = gamma1 + gamma2 if gaps <= {gamma1 + gamma2} else None
 
 
 def b_image_shape(w: Word) -> BOnly | Core:

@@ -4,8 +4,11 @@ The sweep enumerates every upper triangular morphism inside explicit
 structural bounds (including singular ones), then walks all ordered pairs
 comparing classify()'s structural prediction against the brute-force
 composition oracle.  Any disagreement is a mismatch record; the expected
-count is zero.  Enumeration order is fixed, so results are reproducible
-and independent of the worker count.
+count is zero.  Each row's partners are walked once: classify, the screen
+below, the oracle and the tallies of cases, true conditions and
+mismatches happen in one loop, and the case and condition counters are
+updated once per row.  Enumeration order is fixed, so results are
+reproducible and independent of the worker count.
 
 Taking the occurrence matrix is a monoid homomorphism, so a pair whose
 matrices do not commute cannot commute either.  The sweep classifies every
@@ -160,23 +163,29 @@ def _sweep_pairs(
     for i in range(start // n, -(-end // n)):
         g1, row = morphisms[i], i * n
         lo, hi = max(start - row, 0), min(end - row, n)
-        reports = [classify(g1, g2) for g2 in morphisms[lo:hi]]
-        cases.update([report.case for report in reports])
         # Upper triangular matrices ((s, e), (0, p)) commute iff
         # e1 (p2 - s2) = e2 (p1 - s1), read off the forms classify cached.
-        e1, d1 = g1.form.a_count, g1.form.b_count - g1.form.s
-        forms = [g2.form for g2 in morphisms[lo:hi]]
-        passing = [j for j, f in enumerate(forms, lo) if e1 * (f.b_count - f.s) == f.a_count * d1]
-        screened += hi - lo - len(passing)
-        found = {j for j in passing if direct_commute(g1, morphisms[j])}
-        commuting += len(found)
-        predicted = {j for j, report in enumerate(reports, lo) if report.prediction}
-        for j in predicted:
-            case, named = reports[j - lo].case, reports[j - lo].conditions.items()
-            conditions.update([f"{case}.{name}" for name, value in named if value])
-        for j in sorted(predicted ^ found):
-            actual = j in found
-            mismatches.append(_mismatch_record(row + j, g1, morphisms[j], reports[j - lo], actual))
+        f1 = g1.form
+        e1, d1 = f1.a_count, f1.b_count - f1.s
+        row_cases: list[str] = []
+        row_conditions: list[str] = []
+        for j, g2 in enumerate(morphisms[lo:hi], lo):
+            report = classify(g1, g2)
+            row_cases.append(report.case)
+            f2 = g2.form
+            if e1 * (f2.b_count - f2.s) == f2.a_count * d1:
+                actual = direct_commute(g1, g2)
+                commuting += actual
+            else:
+                screened += 1
+                actual = False
+            if report.prediction:
+                named = report.conditions.items()
+                row_conditions += [f"{report.case}.{name}" for name, value in named if value]
+            if report.prediction != actual:
+                mismatches.append(_mismatch_record(row + j, g1, g2, report, actual))
+        cases.update(row_cases)
+        conditions.update(row_conditions)
     return commuting, cases, conditions, mismatches, screened
 
 

@@ -7,7 +7,6 @@ to see one PASS line per criterion.
 """
 from __future__ import annotations
 
-import hashlib
 import time
 from itertools import product
 from math import gcd
@@ -15,6 +14,7 @@ from math import gcd
 import pytest
 
 from conftest import eventually_periodic_prefix, is_special_pair
+from sweep_reports import report_digest
 from trimorph.classifier import CASES, classify, direct_commute
 from trimorph.cli import EXAMPLE_PAIRS
 from trimorph.freeness import find_relation, matrix_collision
@@ -60,9 +60,9 @@ REQUIRED_TRUE_CONDITIONS = (
 
 
 # The sha256 of (case, swapped, conditions, witness, prediction) of every
-# report of the default sweep, in sweep order.  A refactor that must leave
-# every report unchanged keeps it; a change that alters reports on purpose
-# re-pins it and says why.
+# report of the default sweep, in sweep order (sweep_reports.report_digest).
+# A refactor that must leave every report unchanged keeps it; a change that
+# alters reports on purpose re-pins it and says why.
 REPORT_DIGEST = "db0d9183cbbe0546f7f0bf09cfa2ea50b330ae3fdae44e2dd03d81c36a1292e1"
 
 
@@ -144,12 +144,7 @@ def test_default_sweep_tallies_and_screen(default_sweep):
 
 
 def test_default_sweep_report_digest(morphs):
-    digest = hashlib.sha256()
-    for g1 in morphs:
-        for g2 in morphs:
-            r = classify(g1, g2)
-            digest.update(repr((r.case, r.swapped, r.conditions, r.witness, r.prediction)).encode())
-    assert digest.hexdigest() == REPORT_DIGEST
+    assert report_digest(morphs) == REPORT_DIGEST
 
 
 def test_criterion_2_case_and_condition_coverage(default_sweep):

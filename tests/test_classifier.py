@@ -103,6 +103,59 @@ def test_classify_singular_a_image_block_shift():
     assert report.prediction is True
 
 
+def _block_shift_reference(u: str, v: str) -> dict | None:
+    """The alpha, beta, i, j with u = (a^alpha b a^beta)^i and
+    v = (b a^(alpha+beta))^j b, found by trying every block on the strings."""
+    for alpha in range(len(u)):
+        for beta in range(len(u) - alpha):
+            block = "a" * alpha + "b" + "a" * beta
+            i = len(u) // len(block)
+            shift = "b" + "a" * (alpha + beta)
+            j = (len(v) - 1) // len(shift)
+            if block * i == u and shift * j + "b" == v:
+                return {"alpha": alpha, "beta": beta, "i": i, "j": j}
+    return None
+
+
+PADS = st.integers(0, 4)
+
+
+@st.composite
+def erasing_block_pairs(draw):
+    """An erasing g1 (s = 0, 1 to 8 b's) and a partner with t = 1 whose image
+    of b holds a b; paddings and gaps from 0 to 4, interior gaps all equal
+    or drawn one by one, often set to make the block-shift shape."""
+    p = draw(st.integers(1, 8))
+    gap = draw(PADS)
+    gamma1 = draw(PADS)
+    # gamma2 = gap - gamma1 makes gamma1 + gamma2 the gap of an equal-gap g1.
+    gamma2 = gap - gamma1 if gamma1 <= gap and draw(st.booleans()) else draw(PADS)
+    alphas = (gap,) * (p - 1) if draw(st.booleans()) else tuple(draw(PADS) for _ in range(p - 1))
+    q = draw(st.integers(1, 8))
+    shift = draw(st.one_of(st.just(gamma1 + gamma2), PADS))
+    lead, trail = draw(st.one_of(st.just(0), PADS)), draw(st.one_of(st.just(0), PADS))
+    gaps = (shift,) * (q - 1) if draw(st.booleans()) else tuple(draw(PADS) for _ in range(q - 1))
+    g1 = BinaryMorphism(Word(), shape_to_word(Core(gamma1, alphas, gamma2)))
+    g2 = BinaryMorphism(Word.parse("a"), shape_to_word(Core(lead, gaps, trail)))
+    return g1, g2
+
+
+@given(erasing_block_pairs())
+@settings(max_examples=400)
+def test_block_shift_match_equals_its_definition(pair):
+    g1, g2 = pair
+    u, v = (g.image_b.to_text() for g in pair)
+    expected = _block_shift_reference(u, v)
+    report = classify(g1, g2)
+    assert report.case == CASE_SINGULAR_A_IMAGE and report.swapped is False
+    assert report.conditions["block_shift_match"] is (expected is not None)
+    assert report.witness == expected
+    assert report.prediction is any(report.conditions.values())
+    mirrored = classify(g2, g1)
+    assert mirrored.swapped is True
+    assert (mirrored.conditions, mirrored.witness) == (report.conditions, report.witness)
+
+
 def test_classify_both_gap_one():
     report = classify(m("a=aaa,b=ab"), m("a=aaaaa,b=aab"))
     assert report.case == CASE_BOTH_GAP_ONE

@@ -3,6 +3,8 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -121,6 +123,75 @@ def test_commuting_pairs_predicted_false_are_mismatches_in_index_order(monkeypat
     for start, end in ((n // 2, 3 * n + 1), (16 * n + 20, 16 * n + 40), (37 * n + 1, pairs - 1)):
         window = [rec for rec in mismatches if start <= rec["index"] < end]
         assert sweep_range(morphs, start, end)[3] == window and window
+
+
+def test_sweep_pairs_equals_a_per_pair_reference(monkeypatch):
+    # Every pair classified and composed on its own, with no screen, on
+    # seeded ranges of the default bounds that start and end mid-row;
+    # classify is patched to flip a seeded third of the predictions, so the
+    # mismatches and the tallies of predicted pairs are exercised too.
+    morphs = enumerate_morphisms(SweepConfig())
+    n = len(morphs)
+    index = {id(g): k for k, g in enumerate(morphs)}
+    rng = random.Random(3011)
+    flipped = set(rng.sample(range(n * n), n * n // 3))
+    classified, composed = Counter(), Counter()
+
+    def flipping(g1, g2):
+        k = index[id(g1)] * n + index[id(g2)]
+        report = classify(g1, g2)
+        return dataclasses.replace(report, prediction=not report.prediction) if k in flipped else report
+
+    def counted_classify(g1, g2):
+        classified[index[id(g1)] * n + index[id(g2)]] += 1
+        return flipping(g1, g2)
+
+    def counted_oracle(g1, g2):
+        composed[index[id(g1)] * n + index[id(g2)]] += 1
+        return direct_commute(g1, g2)
+
+    def matrices_commute(k):
+        rows1, rows2 = morphs[k // n].rows, morphs[k % n].rows
+        return mat_mul(rows1, rows2) == mat_mul(rows2, rows1)
+
+    monkeypatch.setattr(sweep, "classify", counted_classify)
+    monkeypatch.setattr(sweep, "direct_commute", counted_oracle)
+    for _ in range(3):
+        start = rng.randrange(n * n - 3 * n)
+        end = start + rng.randrange(n, 3 * n)
+        assert start % n and end % n
+        commuting = screened = 0
+        cases, conditions, mismatches = Counter(), Counter(), []
+        for k in range(start, end):
+            g1, g2 = morphs[k // n], morphs[k % n]
+            report = flipping(g1, g2)
+            actual = direct_commute(g1, g2)
+            commuting += actual
+            screened += not matrices_commute(k)
+            cases[report.case] += 1
+            if report.prediction:
+                for name, value in report.conditions.items():
+                    conditions[f"{report.case}.{name}"] += value
+            if report.prediction != actual:
+                mismatches.append({
+                    "schema": 1,
+                    "kind": "sweep_mismatch",
+                    "index": k,
+                    "g1": format_morphism(g1),
+                    "g2": format_morphism(g2),
+                    "case": report.case,
+                    "swapped": report.swapped,
+                    "conditions": report.conditions,
+                    "predicted": report.prediction,
+                    "actual": actual,
+                })
+        classified.clear()
+        composed.clear()
+        got = sweep._sweep_pairs(morphs, start, end)
+        assert got == (commuting, cases, +conditions, mismatches, screened)
+        assert mismatches and screened
+        assert classified == Counter(range(start, end))
+        assert composed == Counter(filter(matrices_commute, range(start, end)))
 
 
 def test_screen_matches_matrix_products_on_every_default_pair(monkeypatch):
