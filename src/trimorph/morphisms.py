@@ -442,10 +442,12 @@ class Core(Value):
         self.alphas = alphas
         self.gamma2 = gamma2
         self.p = len(alphas) + 1
-        gaps = set(alphas)
-        uniform = not gamma1 and not gamma2 and len(gaps) == 1
+        # One pass over the interior gaps: are they all equal to the first?
+        equal = not alphas or alphas.count(alphas[0]) == len(alphas)
+        uniform = equal and alphas and not gamma1 and not gamma2
         self.uniform_gap = alphas[0] if uniform else None
-        self.block_gap = gamma1 + gamma2 if gaps <= {gamma1 + gamma2} else None
+        gap = gamma1 + gamma2
+        self.block_gap = gap if equal and (not alphas or alphas[0] == gap) else None
 
 
 def b_image_shape(w: Word) -> BOnly | Core:

@@ -109,10 +109,12 @@ def _block_shift_reference(u: str, v: str) -> dict | None:
     for alpha in range(len(u)):
         for beta in range(len(u) - alpha):
             block = "a" * alpha + "b" + "a" * beta
-            i = len(u) // len(block)
+            i, rest = divmod(len(u), len(block))
+            if rest or block * i != u:
+                continue
             shift = "b" + "a" * (alpha + beta)
             j = (len(v) - 1) // len(shift)
-            if block * i == u and shift * j + "b" == v:
+            if shift * j + "b" == v:
                 return {"alpha": alpha, "beta": beta, "i": i, "j": j}
     return None
 
@@ -141,7 +143,7 @@ def erasing_block_pairs(draw):
 
 
 @given(erasing_block_pairs())
-@settings(max_examples=400)
+@settings(max_examples=200)
 def test_block_shift_match_equals_its_definition(pair):
     g1, g2 = pair
     u, v = (g.image_b.to_text() for g in pair)
